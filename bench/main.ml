@@ -393,6 +393,20 @@ let json_bench () =
         let _, warm_stats =
           Optimizer.sweep ~axis:`Scale ~values:sweep_values eval_problem
         in
+        (* Free-scale single solves: the paper's six Table II rate cases
+           through [Optimizer.solve] with no fixed_n, so every solve runs
+           the Eq. 24 scale search and the gated f_evals count is not
+           zero. *)
+        let table2_problems =
+          List.map
+            (fun case -> E.Paper_data.eval_problem ~te_core_days:3e6 ~case ())
+            E.Paper_data.cases
+        in
+        let solve_table2 () = List.map (fun p -> Optimizer.solve p) table2_problems in
+        let table2_reps = 20 in
+        let table2_timing = time_ns ~reps:table2_reps solve_table2 in
+        let table2_plans = solve_table2 () in
+        let table2_sum f = List.fold_left (fun acc p -> acc + f p) 0 table2_plans in
         (* Registry: independent experiment renders, fanned across domains. *)
         let registry_ids = [ "fig3"; "table2"; "costmodel" ] in
         let registry_experiments =
@@ -418,6 +432,15 @@ let json_bench () =
                 ~inner:warm_stats.Optimizer.inner_iterations
                 ~outer:warm_stats.Optimizer.outer_iterations
                 ~f_evals:warm_stats.Optimizer.f_evals ];
+          J.Obj
+            [ ("kernel", J.String "solve-table2-free-scale");
+              ("workers", J.Number 1.);
+              ("reps", J.Number (float_of_int table2_reps));
+              timing_obj "wall" table2_timing;
+              iterations_obj
+                ~inner:(table2_sum (fun p -> p.Optimizer.inner_iterations))
+                ~outer:(table2_sum (fun p -> p.Optimizer.outer_iterations))
+                ~f_evals:(table2_sum (fun p -> p.Optimizer.f_evals)) ];
           bench_entry
             ~kernel:(Printf.sprintf "registry-%s" (String.concat "+" registry_ids))
             ~workers ~reps ~baseline:registry_seq ~optimized:registry_par [] ])

@@ -234,224 +234,3 @@ let optimize_reference ?(tol = 1e-6) ?(max_iter = 10_000) ?(n_max = 1e9) ?fixed_
     end
   in
   loop xs n0 0
-
-(* ------------------------------------------------------------------ *)
-(* Fast path: the same iteration evaluated through a reusable
-   {!Ckpt_fastpath.Workspace}.  [fill] caches every per-level term at
-   one scale (the workspace key), so a fixed-n Gauss–Seidel sweep
-   re-evaluates no overhead law and allocates nothing, and each scale
-   probed by the Eq. 24 search fills exactly once.
-
-   Every *evaluation kernel* is bit-identical to its reference twin
-   above (see lib/fastpath/README.md).  The *iteration* is accelerated
-   — ITP with bisection replay for the Eq. 24 scale search, safeguarded
-   Aitken extrapolation on the xs fixed point — so the solver contract
-   against [optimize_reference] is plan equivalence, not bitwise
-   trajectory equality: the same integer scale and an E(T_w) within
-   1e-9 relative, in fewer iterations.  Every accelerated step is
-   safeguarded by an exact plain-step fallback (counted in
-   [fallbacks]); the property tests in test/test_fastpath.ml compare
-   the two paths on random problems, warm starts and batch shapes. *)
-
-module Workspace = Ckpt_fastpath.Workspace
-module Eval = Ckpt_fastpath.Eval
-
-(* Speedup terms by form, replicating each constructor's closure
-   arithmetic exactly; laws without a special form (including Custom)
-   evaluate through the shape-dispatched [Scale_fn.eval]. *)
-let fill_speedup sp n s =
-  match sp.Speedup.form with
-  | Speedup.Quadratic { kappa; n_star } ->
-      let a = -.kappa /. (2. *. n_star) in
-      s.(Workspace.slot_g) <- (a *. n *. n) +. (kappa *. n);
-      s.(Workspace.slot_gd) <- (2. *. a *. n) +. kappa
-  | Speedup.Amdahl { serial_fraction = sf; _ } ->
-      let denom = sf +. ((1. -. sf) /. n) in
-      s.(Workspace.slot_g) <- 1. /. denom;
-      s.(Workspace.slot_gd) <- (1. -. sf) /. (n *. n *. denom *. denom)
-  | Speedup.Linear _ | Speedup.Gustafson _ | Speedup.Custom ->
-      s.(Workspace.slot_g) <- Scale_fn.eval sp.Speedup.law n;
-      s.(Workspace.slot_gd) <- Scale_fn.eval' sp.Speedup.law n
-
-let fill ws p n =
-  let s = ws.Workspace.s in
-  if s.(Workspace.slot_key) <> n then begin
-    fill_speedup p.speedup n s;
-    for i = 0 to num_levels p - 1 do
-      let lvl = p.levels.(i) in
-      ws.Workspace.ci.(i) <- Overhead.cost lvl.Level.ckpt n;
-      ws.Workspace.ci_d.(i) <- Overhead.cost' lvl.Level.ckpt n;
-      ws.Workspace.ri.(i) <- Overhead.cost lvl.Level.restart n;
-      ws.Workspace.ri_d.(i) <- Overhead.cost' lvl.Level.restart n;
-      ws.Workspace.mi.(i) <- Scale_fn.eval p.mus.(i) n;
-      ws.Workspace.mi_d.(i) <- Scale_fn.eval' p.mus.(i) n
-    done;
-    s.(Workspace.slot_key) <- n
-  end
-
-(* Mirrors [solve_scale] with [d_dn] reading cached terms, through
-   [Roots.itp_integer]: superlinear ITP probes refine the bracket, then
-   the exact bisection recurrence is replayed over it, so the returned
-   scale is bitwise the one [solve_scale]'s plain bisection finds (at
-   the same xs) in a fraction of the Eq. 24 evaluations.  Leaves the
-   workspace filled at the last probed scale. *)
-let solve_scale_ws ws ?hint p ~n_hi =
-  let s = ws.Workspace.s in
-  let f n =
-    s.(Workspace.slot_fevals) <- s.(Workspace.slot_fevals) +. 1.;
-    fill ws p n;
-    Eval.d_dn ws ~te:p.te ~alloc:p.alloc
-  in
-  let f_hi = f n_hi in
-  if f_hi <= 0. then n_hi
-  else begin
-    let f_1 = f 1. in
-    if f_1 >= 0. then 1.
-    else begin
-      let lo, hi, flo, fhi =
-        match hint with
-        | Some h when h > 1. && h < n_hi ->
-            let rec widen lo hi =
-              let flo = f lo and fhi = f hi in
-              if flo < 0. && fhi > 0. then (lo, hi, flo, fhi)
-              else
-                let lo' = if flo < 0. then lo else Float.max 1. (lo /. 4.) in
-                let hi' = if fhi > 0. then hi else Float.min n_hi (hi *. 4.) in
-                widen lo' hi'
-            in
-            widen (Float.max 1. (h /. 2.)) (Float.min n_hi (h *. 2.))
-        | _ -> (1., n_hi, f_1, f_hi)
-      in
-      (Roots.itp_integer ~flo ~fhi ~f ~lo ~hi ()).Roots.root
-    end
-  end
-
-(* One workspace per domain: [optimize] is not reentrant within a
-   domain (nothing in this library calls it from inside a solve), and
-   domains never share a workspace. *)
-let ws_key = Domain.DLS.new_key (fun () -> Workspace.create ())
-
-let optimize ?(tol = 1e-6) ?(max_iter = 10_000) ?(n_max = 1e9) ?fixed_n ?init p =
-  check_params p;
-  let ws = Domain.DLS.get ws_key in
-  Workspace.reserve ws ~levels:(num_levels p);
-  let n_hi = Speedup.search_upper_bound p.speedup ~default:n_max in
-  let warm_n =
-    match init with
-    | Some (_, n) when Float.is_finite n && n >= 1. -> Some (Float.min n_hi n)
-    | _ -> None
-  in
-  let n0 =
-    match (fixed_n, warm_n) with
-    | Some n, _ -> n
-    | None, Some n -> n
-    | None, None -> n_hi
-  in
-  (match init with
-  | Some (xs0, _) when Array.length xs0 = num_levels p ->
-      for i = 0 to num_levels p - 1 do
-        let x = xs0.(i) in
-        ws.Workspace.xs.(i) <- (if Float.is_finite x && x > 1. then x else 1.)
-      done
-  | _ ->
-      fill ws p n0;
-      Eval.young_init ws ~te:p.te);
-  let hinted = init <> None in
-  (* Warm-seeded solves skip Aitken: they start inside the contraction
-     ball, where the step history is dominated by the seed's tol-scale
-     path noise rather than a geometric tail, so attempts are almost
-     always rejected — each one a wasted iteration and a counted
-     fallback.  Cold solves (Young init) keep the full Steffensen
-     cadence. *)
-  let accel = not hinted in
-  let finish n iter converged =
-    (* The reference evaluates E(T_w) at the final (xs, n); fill makes
-       the terms valid at [n] (a no-op when the key already is). *)
-    fill ws p n;
-    let wall_clock = Eval.expected_wall_clock ws ~te:p.te ~alloc:p.alloc in
-    { xs = Workspace.xs_copy ws;
-      n;
-      wall_clock;
-      iterations = iter;
-      f_evals = int_of_float ws.Workspace.s.(Workspace.slot_fevals);
-      fallbacks = int_of_float ws.Workspace.s.(Workspace.slot_fallbacks);
-      converged }
-  in
-  (* The scale iterate rides in a workspace slot: a float argument of a
-     non-inlined recursive loop would box on every iteration.  The
-     Aitken state (history depth, pending flag, fallback residual and
-     scale) rides in slots for the same reason.
-
-     Step discipline (Steffensen cadence with a residual safeguard):
-     plain Gauss–Seidel steps build a three-iterate history; once three
-     consecutive plain steps are banked — enough for the Young-init
-     transient to die out, measured on the paper's Table II corpus —
-     [Eval.aitken] extrapolates the geometric tail and the *next* step
-     measures the extrapolated iterate's residual.  If it beat the last
-     plain residual the jump is kept and the history restarts from
-     scratch (the post-jump steps are their own transient); otherwise
-     the step is reverted to the saved plain iterate and counted as a
-     fallback — so a rejected extrapolation costs one iteration and
-     never changes what the plain iteration would have produced. *)
-  let s = ws.Workspace.s in
-  s.(Workspace.slot_n) <- n0;
-  s.(Workspace.slot_fevals) <- 0.;
-  s.(Workspace.slot_fallbacks) <- 0.;
-  s.(Workspace.slot_hist) <- 0.;
-  s.(Workspace.slot_accel) <- 0.;
-  let rec loop iter =
-    let n = s.(Workspace.slot_n) in
-    if iter >= max_iter then finish n iter false
-    else begin
-      Eval.rotate_xs ws;
-      if s.(Workspace.slot_key) <> n then fill ws p n;
-      Eval.x_sweep ws ~te:p.te;
-      let n' =
-        match fixed_n with
-        | Some n -> n
-        | None ->
-            let hint = if hinted && iter = 0 then Some n else None in
-            solve_scale_ws ws ?hint p ~n_hi
-      in
-      let dx = Eval.max_abs_diff_xs ws in
-      let pending = s.(Workspace.slot_accel) = 1. in
-      s.(Workspace.slot_accel) <- 0.;
-      if pending && not (Float.is_finite dx && dx < s.(Workspace.slot_dxref))
-      then begin
-        (* rejected extrapolation: revert to the saved plain iterate and
-           scale, whose convergence test already ran (and failed) *)
-        s.(Workspace.slot_fallbacks) <- s.(Workspace.slot_fallbacks) +. 1.;
-        Eval.restore_xs ws;
-        s.(Workspace.slot_n) <- s.(Workspace.slot_nsafe);
-        s.(Workspace.slot_hist) <- 0.;
-        loop (iter + 1)
-      end
-      else begin
-        (* an accepted extrapolation restarts the history at the
-           (z, phi z) pair; a plain step extends it *)
-        s.(Workspace.slot_hist) <-
-          (if pending then 0. else s.(Workspace.slot_hist) +. 1.);
-        if dx <= tol && Float.abs (n' -. n) <= 0.5 then finish n' (iter + 1) true
-        else begin
-          s.(Workspace.slot_n) <- n';
-          if accel && s.(Workspace.slot_hist) >= 3. && Eval.aitken ws
-          then begin
-            s.(Workspace.slot_accel) <- 1.;
-            s.(Workspace.slot_dxref) <- dx;
-            s.(Workspace.slot_nsafe) <- n';
-            s.(Workspace.slot_hist) <- 0.
-          end;
-          loop (iter + 1)
-        end
-      end
-    end
-  in
-  loop 0
-
-(* Fast E(T_w) through a private workspace — the evaluation twin the
-   property tests exercise directly. *)
-let expected_wall_clock_fast ws p ~xs ~n =
-  Workspace.reserve ws ~levels:(num_levels p);
-  Array.blit xs 0 ws.Workspace.xs 0 (num_levels p);
-  fill ws p n;
-  Eval.expected_wall_clock ws ~te:p.te ~alloc:p.alloc

@@ -29,7 +29,7 @@ type solution = {
   iterations : int;
   f_evals : int;  (** Eq. 24 derivative evaluations spent in scale searches *)
   fallbacks : int;
-      (** safeguard reversions taken by the accelerated path (always 0
+      (** safeguard reversions taken by the accelerated solver (always 0
           for {!optimize_reference}) *)
   converged : bool;
 }
@@ -70,46 +70,6 @@ val x_update : params -> xs:float array -> n:float -> level:int -> float
 val young_init : params -> n:float -> float array
 (** Eq. (25): per-level Young intervals, the iteration's starting point. *)
 
-val optimize :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?n_max:float ->
-  ?fixed_n:float ->
-  ?init:float array * float ->
-  params ->
-  solution
-(** Inner optimizer: Gauss–Seidel sweeps of {!x_update} over the levels
-    alternated with a bisection solve of [d_dn = 0] on [\[1, N_star\]].
-    [fixed_n] pins the scale (the ML(ori-scale) baseline).
-
-    [init] warm-starts the iteration from [(xs, n)] — typically a
-    neighbouring solution — instead of {!young_init}: the [xs] are
-    clamped to [>= 1] (and ignored if the arity differs), [n] seeds the
-    scale when [fixed_n] is absent, and the scale bisection brackets
-    geometrically around the previous iterate before falling back to the
-    full interval.  Warm starts only change the starting point of a
-    contraction, so the fixed point reached agrees with the cold solve
-    to the solver tolerance; without [init] the behaviour is unchanged.
-
-    The iteration runs on the {!Ckpt_fastpath} workspace path: per-level
-    terms are cached per scale in preallocated arrays (one per-domain
-    workspace), so inner iterations do no heap allocation.  The
-    iteration is accelerated — [Roots.itp_integer] (superlinear, with
-    the bisection recurrence replayed exactly over the refined bracket)
-    for the Eq. 24 scale search, and safeguarded Aitken delta-squared
-    extrapolation of the xs fixed point, reverted whenever an
-    extrapolated iterate fails to reduce the residual (counted in
-    [fallbacks]).
-
-    Contract against {!optimize_reference}: {e plan equivalence}, not
-    trajectory equality — both paths converge to the same fixed point
-    of the same contraction under the same tolerance, so a converged
-    solution has the same integer scale [Float.round n] and an E(T_w)
-    within 1e-9 relative, typically in well under half the iterations.
-    The evaluation kernels themselves (E(T_w), Eq. 23/24) remain
-    bit-identical to the reference; test/test_fastpath.ml
-    property-tests both layers. *)
-
 val optimize_reference :
   ?tol:float ->
   ?max_iter:int ->
@@ -118,23 +78,23 @@ val optimize_reference :
   ?init:float array * float ->
   params ->
   solution
-(** The reference implementation of {!optimize}: identical signature,
-    plain bisection and plain fixed-point steps, evaluating every term
-    through the overhead-law closures with no workspace.  Kept as the
-    correctness oracle: the accelerated path must produce a
-    plan-equivalent solution (same integer scale, E(T_w) within 1e-9
-    relative) on every problem, which the fastpath property tests
-    check. *)
+(** The inner optimizer: Gauss–Seidel sweeps of {!x_update} over the
+    levels alternated with a bisection solve of [d_dn = 0] on
+    [\[1, N_star\]], every term evaluated through the overhead-law and
+    [mus] closures.  [fixed_n] pins the scale (the ML(ori-scale)
+    baseline).
 
-val expected_wall_clock_fast :
-  Ckpt_fastpath.Workspace.t -> params -> xs:float array -> n:float -> float
-(** {!expected_wall_clock} evaluated through the given workspace —
-    bit-identical to the reference; exposed for the property tests and
-    for callers evaluating E(T_w) in a loop. *)
+    [init] warm-starts the iteration from [(xs, n)] — typically a
+    neighbouring solution — instead of {!young_init}: each [x] starts at
+    its seed when that is finite and [> 1], else at [1] (the whole [xs]
+    is ignored if its arity differs); a finite [n >= 1] seeds the scale
+    when [fixed_n] is absent, and the first scale bisection brackets
+    geometrically around it before falling back to the full interval.
 
-val fill_speedup : Speedup.t -> float -> float array -> unit
-(** Write [g(n)] and [g'(n)] into slots [Workspace.slot_g] /
-    [Workspace.slot_gd] of the given scalar-slot array (the {!Ckpt_fastpath}
-    [Workspace] and [Batch] scratch share those indices), replicating each
-    speedup form's closure arithmetic exactly.  Exposed for the batch
-    solver's fill, which must stay bit-identical to this one. *)
+    This is the correctness oracle for the production solver
+    ([Optimizer.solve] and [Optimizer.solve_batch], which run the same
+    iteration accelerated on the {!Ckpt_fastpath} [Batch] kernels): each
+    Algorithm-1 round there must reach a plan-equivalent solution (same
+    integer scale, E(T_w) within 1e-9 relative), which
+    test/test_fastpath.ml property-tests through
+    [Optimizer.solve_reference]. *)

@@ -127,160 +127,88 @@ let divergent_plan p ~n ~outer ~inner ~f_evals ~fallbacks =
     fallbacks;
     converged = false }
 
-let solve_with ?(reference = false) ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n
-    ?(n_max = 1e9) ?warm ?initial_estimate p =
+(* A warm plan is usable only if it describes the same hierarchy and
+   carries a finite wall clock to seed the mu estimate with. *)
+let usable_warm p = function
+  | Some w
+    when Array.length w.xs = Array.length p.levels
+         && Float.is_finite w.wall_clock && w.wall_clock > 0. ->
+      Some w
+  | _ -> None
+
+let solve_reference ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9)
+    ?warm p =
   check_problem p;
-  let n_hi = Speedup.search_upper_bound p.speedup ~default:n_max in
-  let n0 = Option.value fixed_n ~default:n_hi in
-  (* A warm plan is usable only if it describes the same hierarchy and
-     carries a finite wall clock to seed the mu estimate with. *)
-  let warm =
-    match warm with
-    | Some w
-      when Array.length w.xs = Array.length p.levels
-           && Float.is_finite w.wall_clock && w.wall_clock > 0. ->
-        Some w
-    | _ -> None
+  let n0 =
+    match fixed_n with
+    | Some n -> n
+    | None -> Speedup.search_upper_bound p.speedup ~default:n_max
   in
+  let warm = usable_warm p warm in
   (* Line 2 of Algorithm 1: initialize the failure counts from the
      failure-free productive time — or, warm-started, from the
      neighbouring plan's converged wall clock, which is already close to
-     this problem's fixed point. *)
+     this problem's fixed point.  Seeding the drift reference with the
+     warm plan's mus lets a solve that starts at its own fixed point stop
+     after one outer round. *)
   let estimate0 =
-    match initial_estimate with
-    | Some e -> e
-    | None -> (
-        match warm with
-        | Some w -> w.wall_clock
-        | None -> Speedup.productive_time p.speedup ~te:p.te ~n:n0)
+    match warm with
+    | Some w -> w.wall_clock
+    | None -> Speedup.productive_time p.speedup ~te:p.te ~n:n0
   in
   let init0 = Option.map (fun w -> (w.xs, w.n)) warm in
-  (* Seeding the drift reference with the warm plan's mus lets a solve
-     that starts at its own fixed point stop after one outer round. *)
   let prev_mus0 =
     Option.map (fun w -> Array.map (fun m -> if Float.is_finite m then m else 0.) w.mus) warm
   in
-  (* [pe]/[pr] carry the previous round's outer iterate and residual for
-     the Anderson(1) secant step; [nan] marks "no history yet". *)
-  let rec outer_loop estimate pe pr prev_mus init best_drift stall cold outer
-      inner f_evals fallbacks =
+  let rec outer_loop estimate prev_mus init outer inner f_evals =
     if not (Float.is_finite estimate) then
-      divergent_plan p ~n:n0 ~outer ~inner ~f_evals ~fallbacks
+      divergent_plan p ~n:n0 ~outer ~inner ~f_evals ~fallbacks:0
     else begin
-    let params = multilevel_params p ~estimate in
-    let sol =
-      if reference then Multilevel.optimize_reference ?fixed_n ~n_max ?init params
-      else Multilevel.optimize ?fixed_n ~n_max ?init params
-    in
-    let inner = inner + sol.Multilevel.iterations in
-    let f_evals = f_evals + sol.Multilevel.f_evals in
-    let fallbacks = fallbacks + sol.Multilevel.fallbacks in
-    let estimate' = sol.Multilevel.wall_clock in
-    if not (Float.is_finite estimate') then
-      divergent_plan p ~n:sol.Multilevel.n ~outer:(outer + 1) ~inner ~f_evals
-        ~fallbacks
-    else begin
-    let mus' = mu_values p ~estimate:estimate' ~n:sol.Multilevel.n in
-    let drift =
-      match prev_mus with
-      | None -> infinity
-      | Some prev when Array.length prev = Array.length mus' ->
-          Ckpt_numerics.Fixed_point.max_abs_diff prev mus'
-      | Some _ -> infinity
-    in
-    if drift <= delta then
-      finish p ~sol ~estimate:estimate' ~outer:(outer + 1) ~inner ~f_evals
-        ~fallbacks ~converged:sol.Multilevel.converged
-    else if outer + 1 >= max_outer then
-      finish p ~sol ~estimate:estimate' ~outer:(outer + 1) ~inner ~f_evals
-        ~fallbacks ~converged:false
-    else if reference then
-      (* Reference discipline: rounds after the first run cold
-         (init = None) on the plain fixed-point orbit — each round's
-         inner solution is a function of the estimate alone, so the mu
-         drift cannot be pinned above delta by a tol-sized dependence on
-         the previous round's starting point. *)
-      outer_loop estimate' nan nan (Some mus') None infinity 0 false
-        (outer + 1) inner f_evals fallbacks
-    else begin
-      (* Anderson(1): the outer iteration is a smooth scalar fixed point
-         e -> G(e) whose residual r(e) = G(e) - e we evaluate once per
-         round for free, so a secant step on r converges superlinearly
-         where the plain orbit contracts geometrically.  The step is
-         gated a priori — finite, positive, and within three plain steps
-         of G(e) — and degrades to the plain step G(e) otherwise, so
-         nothing is ever evaluated twice or reverted. *)
-      let r = estimate' -. estimate in
-      let e_next =
-        if Float.is_finite pr && Float.abs r < Float.abs pr then begin
-          let cand = estimate -. (r *. (estimate -. pe) /. (r -. pr)) in
-          if
-            Float.is_finite cand && cand > 0.
-            && Float.abs (cand -. estimate') <= 3. *. Float.abs r
-          then cand
-          else estimate'
-        end
-        else estimate'
-      in
-      if cold then
-        outer_loop e_next estimate r (Some mus') None infinity 0 true
-          (outer + 1) inner f_evals fallbacks
-      else if (not (Float.is_finite best_drift)) || drift < best_drift then
-        (* An infinite best just means there is no previous round to
-           compare against (mu values are finite whenever the estimate
-           is), so it cannot be stagnation.
-           Warm discipline: seed the next round from this round's
-           converged solution.  Near the fixed point E(T_w) is flat in
-           xs (first-order conditions), so the init-dependence the cold
-           rule guards against is second-order in the inner tolerance —
-           far below delta — while the inner solve starts close enough
-           to converge in a handful of iterations.  The drift must keep
-           beating its best for this to stay sound, which is checked,
-           not assumed. *)
-        outer_loop e_next estimate r (Some mus')
-          (Some (sol.Multilevel.xs, sol.Multilevel.n))
-          drift 0 false (outer + 1) inner f_evals fallbacks
-      else if stall = 0 then
-        (* One non-improving round is a normal transient of a
-           contraction measured through a tol-bounded inner solve — keep
-           the warm seeding, remember the stall. *)
-        outer_loop e_next estimate r (Some mus')
-          (Some (sol.Multilevel.xs, sol.Multilevel.n))
-          best_drift 1 false (outer + 1) inner f_evals fallbacks
-      else
-        (* Two stalls in a row: the warm-seeding noise floor has been
-           reached without meeting delta — the seeded inner solves stop
-           inside a tol-sized ball whose position depends on the seeding
-           path, so the measured drift can never fall further.  Finish
-           on the reference's cold-round discipline (sticky: cold rounds
-           are a deterministic function of the estimate, so their drift
-           is free of the floor and keeps contracting to delta).  The
-           secant acceleration keeps running — it only needs residuals,
-           not a warm orbit. *)
-        outer_loop e_next estimate r (Some mus') None infinity 0 true
-          (outer + 1) inner f_evals fallbacks
-    end
-    end
+      let params = multilevel_params p ~estimate in
+      let sol = Multilevel.optimize_reference ?fixed_n ~n_max ?init params in
+      let inner = inner + sol.Multilevel.iterations in
+      let f_evals = f_evals + sol.Multilevel.f_evals in
+      let estimate' = sol.Multilevel.wall_clock in
+      if not (Float.is_finite estimate') then
+        divergent_plan p ~n:sol.Multilevel.n ~outer:(outer + 1) ~inner ~f_evals
+          ~fallbacks:0
+      else begin
+        let mus' = mu_values p ~estimate:estimate' ~n:sol.Multilevel.n in
+        let drift =
+          match prev_mus with
+          | Some prev when Array.length prev = Array.length mus' ->
+              Ckpt_numerics.Fixed_point.max_abs_diff prev mus'
+          | _ -> infinity
+        in
+        if drift <= delta || outer + 1 >= max_outer then
+          finish p ~sol ~estimate:estimate' ~outer:(outer + 1) ~inner ~f_evals
+            ~fallbacks:0
+            ~converged:(drift <= delta && sol.Multilevel.converged)
+        else
+          (* Rounds after the first run cold (init = None) on the plain
+             fixed-point orbit: each round's inner solution is a function
+             of the estimate alone, so the mu drift cannot be pinned above
+             delta by a tol-sized dependence on the previous round's
+             starting point. *)
+          outer_loop estimate' (Some mus') None (outer + 1) inner f_evals
+      end
     end
   in
-  outer_loop estimate0 nan nan prev_mus0 init0 infinity 0 false 0 0 0 0
-
-let solve ?delta ?max_outer ?fixed_n ?n_max ?warm p =
-  solve_with ?delta ?max_outer ?fixed_n ?n_max ?warm p
-
-let solve_reference ?delta ?max_outer ?fixed_n ?n_max ?warm p =
-  solve_with ~reference:true ?delta ?max_outer ?fixed_n ?n_max ?warm p
+  outer_loop estimate0 prev_mus0 init0 0 0 0
 
 (* ------------------------------------------------------------------ *)
-(* Batch solving: K problems per pass through the struct-of-arrays
-   fastpath workspace.  One [Batch.t] per domain (like the solver
-   workspace), so pool workers fan stripes out without sharing scratch.
-   Every evaluation kernel and fill mirrors the single-solve path's
-   arithmetic bit for bit; the iteration itself is accelerated the same
-   way ([Roots.itp_integer], safeguarded Aitken, warm outer rounds) plus
-   cross-row warm starts, so each row's plan is plan-equivalent to
-   [solve_reference] of the same job — same integer scale, E(T_w)
-   within 1e-9 relative; test/test_fastpath.ml property-tests this. *)
+(* The production solver: Algorithm 1 on rows of the struct-of-arrays
+   fastpath [Batch].  [solve] is a one-row batch, [solve_batch] K rows;
+   both run the same loops below on one [Batch.t] per domain, so pool
+   workers fan stripes out without sharing scratch.
+
+   Every evaluation kernel and fill is bit-identical to its closure-
+   evaluated [Multilevel] reference; the iteration itself is accelerated
+   — ITP for the Eq. 24 scale search, safeguarded Aitken on the xs fixed
+   point, Anderson(1) secant steps and warm-seeded outer rounds, plus
+   cross-row warm starts in a batch — so each plan is plan-equivalent to
+   [solve_reference] of the same job (same integer scale, E(T_w) within
+   1e-9 relative), which test/test_fastpath.ml property-tests. *)
 
 module Batch = Ckpt_fastpath.Batch
 
@@ -288,16 +216,36 @@ type batch_job = { problem : problem; fixed_n : float option; delta : float }
 
 let batch_job ?(delta = 1e-9) ?fixed_n problem = { problem; fixed_n; delta }
 
+(* Not re-entrant within a domain: nothing in this library solves from
+   inside a solve, and domains never share an instance. *)
 let batch_ws_key = Domain.DLS.new_key (fun () -> Batch.create ())
 
-(* Mirrors [Multilevel.fill]: overhead-law terms guarded by the row's
-   [cost_key] (functions of the scale alone, they survive the outer
-   mu re-estimation rounds), mu terms and the shared speedup slots by
-   the full [key].  [mi] replicates [Scale_fn.eval] of the Affine law
+(* Speedup terms by form, replicating each constructor's closure
+   arithmetic exactly; laws without a special form (including Custom)
+   evaluate through the shape-dispatched [Scale_fn.eval]. *)
+let fill_speedup sp n s =
+  match sp.Speedup.form with
+  | Speedup.Quadratic { kappa; n_star } ->
+      let a = -.kappa /. (2. *. n_star) in
+      s.(Batch.slot_g) <- (a *. n *. n) +. (kappa *. n);
+      s.(Batch.slot_gd) <- (2. *. a *. n) +. kappa
+  | Speedup.Amdahl { serial_fraction = sf; _ } ->
+      let denom = sf +. ((1. -. sf) /. n) in
+      s.(Batch.slot_g) <- 1. /. denom;
+      s.(Batch.slot_gd) <- (1. -. sf) /. (n *. n *. denom *. denom)
+  | Speedup.Linear _ | Speedup.Gustafson _ | Speedup.Custom ->
+      s.(Batch.slot_g) <- Scale_fn.eval sp.Speedup.law n;
+      s.(Batch.slot_gd) <- Scale_fn.eval' sp.Speedup.law n
+
+(* The row's model terms at scale [n], each the value its [Multilevel]
+   closure returns: overhead-law terms guarded by the row's [cost_key]
+   (functions of the scale alone, they survive the outer mu
+   re-estimation rounds), mu terms and the shared speedup slots by the
+   full [key].  [mi] replicates [Scale_fn.eval] of the Affine law
    [mus_for] builds: [0. +. (slope*estimate) *. n]. *)
 let batch_fill b (p : problem) ~row n =
   if b.Batch.key.(row) <> n then begin
-    Multilevel.fill_speedup p.speedup n b.Batch.s;
+    fill_speedup p.speedup n b.Batch.s;
     let off = row * b.Batch.stride in
     let nl = b.Batch.nlev.(row) in
     if b.Batch.cost_key.(row) <> n then begin
@@ -318,10 +266,14 @@ let batch_fill b (p : problem) ~row n =
     b.Batch.key.(row) <- n
   end
 
-(* Mirrors [Multilevel.solve_scale_ws]: ITP probes with the bisection
-   recurrence replayed over the refined bracket, bracketing around a
-   warm hint when one is live (warm-seeded rounds and cross-row seeds,
-   iteration 0 only — the same discipline as the single-row path). *)
+(* The Eq. 24 scale search of [Multilevel.solve_scale] with [d_dn]
+   reading the row's cached terms, through [Roots.itp_integer]:
+   superlinear ITP probes refine the bracket, then the exact bisection
+   recurrence is replayed over it, so the returned scale is bitwise the
+   one plain bisection finds (at the same xs) in a fraction of the
+   Eq. 24 evaluations.  A live [hint] (warm-seeded rounds, round 0 only)
+   brackets geometrically around the previous scale first.  Leaves the
+   row filled at the last probed scale. *)
 let batch_solve_scale b p ?hint ~row ~n_hi () =
   let s = b.Batch.s in
   let f n =
@@ -354,13 +306,14 @@ let batch_solve_scale b p ?hint ~row ~n_hi () =
     end
   end
 
-(* Mirrors [Multilevel.optimize] (cold start, default tol/max_iter) on
-   one batch row.  The solved scale lands in [slot_n] and its E(T_w) in
-   [slot_wall]; returns the iteration count, with the converged flag as
-   the sign bit (a tuple or closure here would allocate once per outer
-   round).  The loop and its finisher are top-level functions for the
-   same reason the single-solve path keeps its scale iterate in a slot:
-   local closures allocate per call under the non-flambda compiler. *)
+(* The inner optimizer on one row: [Multilevel.optimize_reference]'s
+   iteration (tol 1e-6, at most 10,000 iterations) accelerated.  The
+   solved scale lands in [slot_n] and its E(T_w) in [slot_wall]; returns
+   the iteration count, with the converged flag as the sign bit (a tuple
+   or closure here would allocate once per outer round).  The loop and
+   its finisher are top-level functions, and the scale iterate and
+   Aitken state ride in scalar slots, because local closures and float
+   loop arguments allocate per call under the non-flambda compiler. *)
 let batch_opt_finish b p ~row n iter converged =
   batch_fill b p ~row n;
   b.Batch.s.(Batch.slot_n) <- n;
@@ -368,11 +321,17 @@ let batch_opt_finish b p ~row n iter converged =
     Batch.expected_wall_clock b ~row ~te:p.te ~alloc:p.alloc;
   if converged then iter else -iter
 
-(* tol/max_iter are [Multilevel.optimize]'s defaults, which [solve_with]
-   never overrides.  The loop is the batch twin of [Multilevel.optimize]'s
-   accelerated iteration: safeguarded Aitken extrapolation on the xs
-   stripe, with the Steffensen-cadence state machine kept in scalar
-   slots ([slot_hist]/[slot_accel]/[slot_dxref]/[slot_nsafe]). *)
+(* Step discipline (Steffensen cadence with a residual safeguard): plain
+   Gauss–Seidel steps build a three-iterate history; once three
+   consecutive plain steps are banked — enough for the Young-init
+   transient to die out, measured on the paper's Table II corpus —
+   [Batch.aitken] extrapolates the geometric tail and the *next* step
+   measures the extrapolated iterate's residual.  If it beat the last
+   plain residual the jump is kept and the history restarts from scratch
+   (the post-jump steps are their own transient); otherwise the step is
+   reverted to the saved plain iterate and counted as a fallback — so a
+   rejected extrapolation costs one iteration and never changes what the
+   plain iteration would have produced. *)
 let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
   let s = b.Batch.s in
   let n = s.(Batch.slot_n) in
@@ -393,7 +352,8 @@ let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
     s.(Batch.slot_accel) <- 0.;
     if pending && not (Float.is_finite dx && dx < s.(Batch.slot_dxref)) then begin
       (* The extrapolated iterate did not contract: revert to the saved
-         plain iterate and resume unaccelerated from there. *)
+         plain iterate and scale, whose convergence test already ran
+         (and failed), and resume unaccelerated from there. *)
       s.(Batch.slot_fallbacks) <- s.(Batch.slot_fallbacks) +. 1.;
       Batch.restore_xs b ~row;
       s.(Batch.slot_n) <- s.(Batch.slot_nsafe);
@@ -406,9 +366,11 @@ let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
         batch_opt_finish b p ~row n' (iter + 1) true
       else begin
         s.(Batch.slot_n) <- n';
-        (* Warm (hinted) solves skip Aitken, as in [Multilevel.optimize]:
-           a warm seed's step history is tol-scale path noise, not a
-           geometric tail, and attempts there are wasted iterations. *)
+        (* Warm (hinted) solves skip Aitken: they start inside the
+           contraction ball, where the step history is the seed's
+           tol-scale path noise rather than a geometric tail, so attempts
+           are almost always rejected — each one a wasted iteration and
+           a counted fallback. *)
         if (not hinted) && s.(Batch.slot_hist) >= 3. && Batch.aitken b ~row
         then begin
           s.(Batch.slot_accel) <- 1.;
@@ -421,13 +383,12 @@ let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
     end
   end
 
-(* The key invalidation at entry is the [Workspace.reserve] twin: each
-   outer round re-fills the mu terms at the new estimate, while
-   [cost_key] keeps the scale-only terms across rounds.  [warm] skips
-   the Young restart: the xs stripe and [slot_n] already hold a
-   neighbouring solution (the previous outer round's, or a seeded
-   cross-row plan), so the iteration resumes from it and the round-0
-   scale search brackets around it. *)
+(* Each outer round re-fills the mu terms at the new estimate (the [key]
+   invalidation at entry), while [cost_key] keeps the scale-only terms
+   across rounds.  [warm] skips the Young restart: the xs stripe and
+   [slot_n] already hold a neighbouring solution (the previous outer
+   round's, or a seeded plan), so the iteration resumes from it and the
+   round-0 scale search brackets around it. *)
 let batch_optimize b p ~row ~warm fixed_n ~n_hi =
   b.Batch.key.(row) <- nan;
   let s = b.Batch.s in
@@ -443,15 +404,24 @@ let batch_optimize b p ~row ~warm fixed_n ~n_hi =
   s.(Batch.slot_accel) <- 0.;
   batch_opt_loop b p ~row ~hinted:warm fixed_n ~n_hi 0
 
-(* Mirrors [solve_with]'s outer loop on one batch row, allocation-free
-   until the final plan record.  The wall-clock estimate rides in
-   [slot_est]; the per-row f_evals/fallbacks counters accumulate in
-   their slots across rounds (reset once in [solve_batch_row]).  [warm]
-   follows [solve_with]'s accelerated discipline: Anderson(1) secant
-   steps on the outer estimate ([pe]/[pr] carry the previous iterate and
-   residual, [nan] = no history), per-round warm seeding while the mu
-   drift keeps beating its best, one tolerated stall, then sticky cold
-   rounds to finish below the warm noise floor. *)
+(* Algorithm 1's outer loop on one row, allocation-free until the final
+   plan record: re-estimate mu_i = lambda_i(N) * E(T_w) from each round's
+   solution until the mu drift falls under [delta].  The wall-clock
+   estimate rides in [slot_est]; the f_evals/fallbacks counters
+   accumulate in their slots across rounds (reset once in
+   [solve_batch_row]); [prev_valid] says whether the [prev_mu] stripe
+   holds a drift reference.
+
+   Anderson(1): the outer iteration is a smooth scalar fixed point
+   e -> G(e) whose residual r(e) = G(e) - e is evaluated once per round
+   for free, so a secant step on r converges superlinearly where the
+   plain orbit contracts geometrically.  [pe]/[pr] carry the previous
+   round's iterate and residual ([nan] = no history yet).
+
+   [warm] seeds each round from the previous round's solution while the
+   mu drift keeps beating its best ([best_drift]); after two
+   non-improving rounds ([stall]) the solve finishes on sticky [cold]
+   rounds, the reference's discipline. *)
 let rec batch_outer b ~row ~delta ~max_outer ~n_hi (p : problem) fixed_n
     prev_valid warm pe pr best_drift stall cold outer inner =
   let off = row * b.Batch.stride in
@@ -501,8 +471,11 @@ let rec batch_outer b ~row ~delta ~max_outer ~n_hi (p : problem) fixed_n
           ~converged
       end
       else begin
-        (* Anderson(1) secant step on the outer estimate, gated a priori
-           exactly as in [solve_with]. *)
+        (* The secant step is gated a priori — finite, positive, and
+           within three plain steps of G(e) — and degrades to the plain
+           step G(e) otherwise, so nothing is ever evaluated twice or
+           reverted; on a divergent problem the estimate escapes to
+           infinity on plain steps exactly like the reference. *)
         let r = estimate' -. estimate in
         let e_next =
           if Float.is_finite pr && Float.abs r < Float.abs pr then begin
@@ -521,56 +494,113 @@ let rec batch_outer b ~row ~delta ~max_outer ~n_hi (p : problem) fixed_n
           batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n true false
             estimate r infinity 0 true (outer + 1) inner
         else if (not (Float.is_finite best_drift)) || drift < best_drift then
-          (* Same rule as [solve_with]: an infinite best only means
-             there is nothing to compare against yet, and a drift that
-             keeps beating its best keeps the warm seeding sound — the
-             xs stripe and [slot_n] already hold this round's solution
-             for the next to resume from. *)
+          (* An infinite best just means there is no previous round to
+             compare against (mu values are finite whenever the estimate
+             is), so it cannot be stagnation.  Near the fixed point
+             E(T_w) is flat in xs (first-order conditions), so resuming
+             from this round's solution — already in the xs stripe and
+             [slot_n] — perturbs the next round only to second order in
+             the inner tolerance, far below delta, while its inner solve
+             converges in a handful of iterations.  The drift must keep
+             beating its best for this to stay sound, which is checked,
+             not assumed. *)
           batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n true true
             estimate r drift 0 false (outer + 1) inner
         else if stall = 0 then
           (* One non-improving round is a normal transient of a
-             tol-bounded contraction: stay warm, remember the stall. *)
+             contraction measured through a tol-bounded inner solve:
+             stay warm, remember the stall. *)
           batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n true true
             estimate r best_drift 1 false (outer + 1) inner
         else
-          (* Two stalls in a row: the warm noise floor — finish on
-             sticky cold rounds, whose drift is seed-free and keeps
-             contracting; the secant steps keep running. *)
+          (* Two stalls in a row: the warm-seeding noise floor — the
+             seeded inner solves stop inside a tol-sized ball whose
+             position depends on the seeding path, so the measured drift
+             can fall no further.  Finish on sticky cold rounds, which
+             are a deterministic function of the estimate, so their
+             drift keeps contracting to delta; the secant steps keep
+             running. *)
           batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n true false
             estimate r infinity 0 true (outer + 1) inner
       end
     end
   end
 
-(* [warm] seeds the row from a neighbouring converged plan (cross-row
-   warm start): its xs land in the stripe, its scale in [slot_n], its
-   wall clock becomes the round-0 mu estimate, and its mus pre-load the
-   drift reference — the batch twin of [solve_with]'s [?warm]. *)
-let solve_batch_row b ~row ~delta ~max_outer ~n_max ?warm (p : problem) fixed_n
-    =
+(* Solve one row.  [warm] seeds it from a neighbouring plan: its xs land
+   in the stripe, its scale in [slot_n], its wall clock becomes the
+   round-0 mu estimate, and its mus pre-load the drift reference.  The
+   seed is checked here, since [solve] passes callers' plans through: a
+   plan of another arity or without a finite-positive wall clock is
+   ignored, a non-finite or <= 1 interval starts at 1, a non-finite or
+   < 1 scale starts at the cold scale, and mus of another arity leave
+   the drift reference empty.  [estimate] overrides the cold start's
+   failure-free wall-clock estimate ([solve_outcome]'s [Non_finite]
+   injection). *)
+let solve_batch_row b ~row ~delta ~max_outer ~n_max ?warm ?estimate
+    (p : problem) fixed_n =
   let n_hi = Speedup.search_upper_bound p.speedup ~default:n_max in
   let s = b.Batch.s in
   s.(Batch.slot_fevals) <- 0.;
   s.(Batch.slot_fallbacks) <- 0.;
-  match warm with
+  match usable_warm p warm with
   | Some w ->
       let off = row * b.Batch.stride in
       let nl = Array.length p.levels in
       for i = 0 to nl - 1 do
-        b.Batch.xs.(off + i) <- Float.max 1. w.xs.(i);
-        b.Batch.prev_mu.(off + i) <-
-          (if Float.is_finite w.mus.(i) then w.mus.(i) else 0.)
+        let x = w.xs.(i) in
+        b.Batch.xs.(off + i) <-
+          (if Float.is_finite x && x > 1. then x else 1.)
       done;
-      s.(Batch.slot_n) <- w.n;
+      let prev_valid = Array.length w.mus = nl in
+      if prev_valid then
+        for i = 0 to nl - 1 do
+          b.Batch.prev_mu.(off + i) <-
+            (if Float.is_finite w.mus.(i) then w.mus.(i) else 0.)
+        done;
+      s.(Batch.slot_n) <-
+        (if Float.is_finite w.n && w.n >= 1. then w.n else n_hi);
       s.(Batch.slot_est) <- w.wall_clock;
-      batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n true true nan nan
-        infinity 0 false 0 0
+      batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n prev_valid true nan
+        nan infinity 0 false 0 0
   | None ->
-      let n0 = match fixed_n with Some n -> n | None -> n_hi in
-      s.(Batch.slot_est) <- Speedup.productive_time p.speedup ~te:p.te ~n:n0;
+      s.(Batch.slot_est) <-
+        (match estimate with
+        | Some e -> e
+        | None ->
+            let n0 = match fixed_n with Some n -> n | None -> n_hi in
+            Speedup.productive_time p.speedup ~te:p.te ~n:n0);
       batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n false false nan nan
         infinity 0 false 0 0
+
+(* Row 0 of this domain's batch, sized for [p] alone. *)
+let reserve_one (p : problem) =
+  let b = Domain.DLS.get batch_ws_key in
+  let nl = Array.length p.levels in
+  Batch.reserve b ~rows:1 ~stride:nl;
+  b.Batch.nlev.(0) <- nl;
+  b
+
+let solve_one ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9) ?warm
+    ?estimate p =
+  check_problem p;
+  solve_batch_row (reserve_one p) ~row:0 ~delta ~max_outer ~n_max ?warm
+    ?estimate p fixed_n
+
+let solve ?delta ?max_outer ?fixed_n ?n_max ?warm p =
+  solve_one ?delta ?max_outer ?fixed_n ?n_max ?warm p
+
+let expected_wall_clock p ~estimate ~xs ~n =
+  let nl = Array.length p.levels in
+  if Array.length xs <> nl then
+    invalid_arg "Optimizer.expected_wall_clock: xs arity differs from levels";
+  let b = reserve_one p in
+  for i = 0 to nl - 1 do
+    b.Batch.slope.(i) <-
+      Failure_spec.rate_per_second' p.spec ~level:(i + 1) *. estimate;
+    b.Batch.xs.(i) <- xs.(i)
+  done;
+  batch_fill b p ~row:0 n;
+  Batch.expected_wall_clock b ~row:0 ~te:p.te ~alloc:p.alloc
 
 let solve_batch ?(max_outer = 1_000) ?(n_max = 1e9) (jobs : batch_job array) =
   let k = Array.length jobs in
@@ -664,14 +694,13 @@ let solve_outcome ?delta ?max_outer ?fixed_n ?n_max ?warm ?inject p =
            finiteness guard must catch it and report a divergent plan —
            the injection exercises the real guard path, it does not
            fabricate the outcome. *)
-        solve_with ?delta ?max_outer ?fixed_n ?n_max ~initial_estimate:Float.nan
-          p
+        solve_one ?delta ?max_outer ?fixed_n ?n_max ~estimate:Float.nan p
     | Some Ckpt_chaos.Chaos.Diverge ->
         (* Starve the outer fixed point of iterations (and of its warm
            start, whose seeded drift reference could legitimately settle
            in one round): the solve runs but cannot converge. *)
-        solve_with ?delta ~max_outer:1 ?fixed_n ?n_max p
-    | Some _ | None -> solve_with ?delta ?max_outer ?fixed_n ?n_max ?warm p
+        solve ?delta ~max_outer:1 ?fixed_n ?n_max p
+    | Some _ | None -> solve ?delta ?max_outer ?fixed_n ?n_max ?warm p
   in
   classify plan
 

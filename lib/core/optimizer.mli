@@ -1,6 +1,6 @@
 (** Algorithm 1 of the paper: the complete optimizer.
 
-    The inner convex subproblem ({!Multilevel.optimize}) assumes the
+    The inner convex subproblem ({!Multilevel.optimize_reference}) assumes the
     expected failure counts [mu_i] depend only on the scale; in truth they
     scale with the wall-clock length, which is itself the objective.  The
     outer loop closes that circle: it re-estimates
@@ -60,18 +60,27 @@ val solve :
     baselines); [n_max] bounds the scale search for peakless speedups.
 
     [warm] seeds the solve from a neighbouring problem's plan: its wall
-    clock replaces the failure-free initial estimate and its [(xs, n)]
-    initialize the inner fixed point ({!Multilevel.optimize}'s [init]).
-    A [warm] plan whose level arity differs or whose wall clock is not
-    finite-positive is ignored.  Warm starting moves only the starting
-    point of the contraction, so the returned plan matches a cold solve
-    to the solver tolerances while spending fewer iterations.
+    clock replaces the failure-free initial estimate, its mus seed the
+    drift reference and its [(xs, n)] initialize the inner fixed point
+    (with {!Multilevel.optimize_reference}'s [init] checks: non-finite
+    or [<= 1] intervals start at 1, a non-finite or [< 1] scale is
+    ignored).  A [warm] plan whose level arity differs or
+    whose wall clock is not finite-positive is ignored.  Warm starting
+    moves only the starting point of the contraction, so the returned
+    plan matches a cold solve to the solver tolerances while spending
+    fewer iterations.
 
-    The solve runs accelerated end to end: {!Multilevel.optimize}'s
-    superlinear scale search and safeguarded Aitken extrapolation
-    inside each round, Anderson(1) secant steps on the outer wall-clock
-    estimate (gated a priori, degrading to the plain fixed-point step),
-    and warm-seeded outer rounds — each round resumes from the previous
+    The solve is a one-row {!solve_batch}: it runs on row 0 of the same
+    per-domain {!Ckpt_fastpath.Batch} workspace, so inner iterations do
+    no heap allocation, and neither function may be re-entered within a
+    domain.  It runs accelerated end to end: an ITP Eq. 24 scale search
+    (superlinear, with the bisection recurrence replayed exactly over
+    the refined bracket) and safeguarded Aitken extrapolation of the xs
+    fixed point inside each round (reverted, and counted in
+    [fallbacks], whenever an extrapolated iterate fails to reduce the
+    residual), Anderson(1) secant steps on the outer wall-clock estimate
+    (gated a priori, degrading to the plain fixed-point step), and
+    warm-seeded outer rounds — each round resumes from the previous
     round's solution while the mu drift keeps contracting, switching to
     the reference's cold-round discipline for the endgame once the
     warm-seeding noise floor is reached.  The contract against
@@ -87,10 +96,23 @@ val solve_reference :
   problem ->
   plan
 (** {!solve} with plain bisection, plain fixed-point steps and cold
-    outer rounds ({!Multilevel.optimize_reference}, no workspace) — the
-    correctness oracle: {!solve}, {!solve_batch} and {!sweep} must all
-    produce plan-equivalent results, which the fastpath property tests
-    check. *)
+    outer rounds after the first ({!Multilevel.optimize_reference},
+    every term evaluated through the model closures, no workspace) —
+    the correctness oracle: {!solve}, {!solve_batch} and {!sweep} must
+    all produce plan-equivalent results, which the fastpath property
+    tests check. *)
+
+val expected_wall_clock :
+  problem -> estimate:float -> xs:float array -> n:float -> float
+(** Eq. (21) for the problem with [mu_i(N) = lambda_i(N) * estimate],
+    evaluated the way the solver evaluates it: the solver's own row fill
+    and [Batch.expected_wall_clock] on row 0 of this domain's batch
+    workspace (so, like {!solve}, not callable from inside a solve).
+    Bitwise equal to {!Multilevel.expected_wall_clock} on the same
+    model, which the fastpath property tests check for every speedup
+    form.
+    @raise Invalid_argument if [xs] has another arity than the
+    hierarchy. *)
 
 (** One problem of a batch solve: [fixed_n]/[delta] as in {!solve}. *)
 type batch_job = { problem : problem; fixed_n : float option; delta : float }
@@ -101,7 +123,8 @@ val batch_job : ?delta:float -> ?fixed_n:float -> problem -> batch_job
 val solve_batch :
   ?max_outer:int -> ?n_max:float -> batch_job array -> plan array
 (** Solve K problems in one pass over the struct-of-arrays batch
-    workspace (one per domain): problem terms live in contiguous
+    workspace (one per domain, shared with {!solve}; neither may be
+    re-entered within a domain): problem terms live in contiguous
     per-level stripes, the Algorithm-1 outer loop runs allocation-free
     per row, overhead-law terms are cached per scale across the outer
     rounds, and neighbouring rows that share a hierarchy and scale
@@ -123,7 +146,7 @@ val solve_batch :
     {!check_problem}. *)
 
 (** How a solve ended.  [solve] already hard-caps both iteration layers
-    ([max_outer], {!Multilevel.optimize}'s [max_iter]), so it always
+    ([max_outer], and 10,000 inner iterations per round), so it always
     terminates; the outcome makes the three terminal states explicit
     instead of leaving callers to decode [converged]/[wall_clock]:
 

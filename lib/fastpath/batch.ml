@@ -9,11 +9,14 @@
    are never contended.
 
    Bit-identity contract: every kernel here reproduces the
-   floating-point operation sequence of its [Eval] twin (and therefore
-   of the [Multilevel] reference) exactly — same terms, same
-   association, same division placement — so a batch row's result is
-   bitwise equal to a standalone solve of the same problem.  See
-   lib/fastpath/README.md.
+   floating-point operation sequence of its reference function in
+   [Ckpt_model.Multilevel] exactly — same terms, same association, same
+   division placement — so each evaluation is bitwise equal to the
+   closure-evaluated reference, not merely close.  Prefix sums the
+   reference recomputes per level are carried as running accumulators
+   (the identical addition chain); suffix sums (the [higher] term of
+   Eq. 23) are recomputed per level in increasing index order, because a
+   running suffix would reassociate.  See lib/fastpath/README.md.
 
    Two validity keys per row split the fill cache by what actually
    changed: [cost_key] guards the overhead-law terms (functions of the
@@ -46,25 +49,27 @@ type t = {
   s : float array;  (* shared scalar slots, indices below *)
 }
 
-(* Shared scalar slots.  [slot_g]/[slot_gd] match {!Workspace} so
-   [Multilevel.fill_speedup] can write either scratch array; the rest
-   are kernel accumulators plus the per-row solve iterates ([slot_n],
-   [slot_wall], [slot_est]) that must not box across loop iterations. *)
-let slot_g = Workspace.slot_g
-let slot_gd = Workspace.slot_gd
-let slot_acc = 3
-let slot_acc2 = 4
-let slot_acc3 = 5
-let slot_n = 6
-let slot_wall = 7
-let slot_est = 8
-let slot_fevals = 9
-let slot_fallbacks = 10
-let slot_hist = 11
-let slot_accel = 12
-let slot_dxref = 13
-let slot_nsafe = 14
-let num_slots = 15
+(* Shared scalar slots: the speedup terms at the filled scale, kernel
+   accumulators, and the per-row solve state ([slot_n], [slot_wall],
+   [slot_est], the counters and the Aitken state) that must not box
+   across loop iterations.  Scalars live in a float array because a
+   mutable float field of a mixed record (or a [float ref]) boxes on
+   every write under the non-flambda compiler. *)
+let slot_g = 0
+let slot_gd = 1
+let slot_acc = 2
+let slot_acc2 = 3
+let slot_acc3 = 4
+let slot_n = 5
+let slot_wall = 6
+let slot_est = 7
+let slot_fevals = 8
+let slot_fallbacks = 9
+let slot_hist = 10
+let slot_accel = 11
+let slot_dxref = 12
+let slot_nsafe = 13
+let num_slots = 14
 
 let create ?(rows = 16) ?(stride = 4) () =
   let rows = max 1 rows and stride = max 1 stride in
@@ -117,11 +122,11 @@ let share_costs t ~src ~dst =
   Array.blit t.ri_d (src * t.stride) t.ri_d (dst * t.stride) n;
   t.cost_key.(dst) <- t.cost_key.(src)
 
-(* --- kernels, mirroring {!Eval} row by row --------------------------- *)
+(* --- kernels, bit-identical to [Multilevel]'s, row by row ------------ *)
 
-(* One Gauss–Seidel sweep of Eq. (23) over the row's levels, in place.
-   Mirrors [Eval.x_sweep] (itself the twin of [Multilevel.x_update]
-   called level by level). *)
+(* One Gauss–Seidel sweep of Eq. (23) over the row's levels, in place:
+   [Multilevel.x_update] called level by level, with the [lower] prefix
+   (T_e/g + sum_{j<i} C_j x_j) carried as a running accumulator. *)
 let x_sweep t ~row ~te =
   let s = t.s in
   let off = row * t.stride in
@@ -144,7 +149,8 @@ let x_sweep t ~row ~te =
     s.(slot_acc) <- s.(slot_acc) +. (ci *. x)
   done
 
-(* Eq. (24) at the row's key scale.  Mirrors [Eval.d_dn]. *)
+(* Eq. (24) at the row's key scale: [Multilevel.d_dn] with the
+   [repaid]/[repaid'] prefix sums as running accumulators. *)
 let d_dn t ~row ~te ~alloc =
   let s = t.s in
   let off = row * t.stride in
@@ -168,7 +174,9 @@ let d_dn t ~row ~te ~alloc =
   done;
   s.(slot_acc)
 
-(* Eq. (21) at the row's key scale.  Mirrors [Eval.expected_wall_clock]. *)
+(* Eq. (21) at the row's key scale: [Multilevel.expected_wall_clock]
+   with the rollback numerator (T_e/g + sum_{k<=i} C_k x_k, Eq. 18)
+   carried as a running prefix. *)
 let expected_wall_clock t ~row ~te ~alloc =
   let s = t.s in
   let off = row * t.stride in
@@ -185,7 +193,7 @@ let expected_wall_clock t ~row ~te ~alloc =
   done;
   s.(slot_acc)
 
-(* Eq. (25) into the row's [xs], in place.  Mirrors [Eval.young_init]. *)
+(* Eq. (25) into the row's [xs], in place: [Multilevel.young_init]. *)
 let young_init t ~row ~te =
   let off = row * t.stride in
   let last = off + t.nlev.(row) - 1 in
@@ -197,19 +205,22 @@ let young_init t ~row ~te =
        else Float.max 1. (sqrt (t.mi.(i) *. te /. g /. (2. *. ci))))
   done
 
-let save_xs t ~row =
-  let off = row * t.stride in
-  Array.blit t.xs off t.xs_prev off t.nlev.(row)
-
-(* Mirrors [Eval.rotate_xs] on one row's stripe. *)
+(* Push the row's iterate history down one step: [xs_prev -> xs_prev2],
+   [xs -> xs_prev].  Run before a sweep so that afterwards
+   [xs_prev2, xs_prev, xs] are three consecutive iterates. *)
 let rotate_xs t ~row =
   let off = row * t.stride in
   Array.blit t.xs_prev off t.xs_prev2 off t.nlev.(row);
   Array.blit t.xs off t.xs_prev off t.nlev.(row)
 
-(* Mirrors [Eval.aitken] on one row's stripe: safeguarded delta-squared
-   extrapolation of the last three iterates, with the plain iterate
-   saved for {!restore_xs}. *)
+(* Componentwise Aitken delta-squared extrapolation over the row's last
+   three iterates [x0 = xs_prev2, x1 = xs_prev, x2 = xs]: the
+   geometric-series limit estimate [x2 - (x2-x1)^2 / ((x2-x1) - (x1-x0))].
+   The plain iterate is first saved to [xs_safe] so a rejected step can
+   be reverted.  A component keeps its plain value when the correction
+   is non-finite (vanishing denominator) or implausibly large relative
+   to the recent steps; the result is clamped to the model's [x >= 1]
+   domain.  Returns [true] when at least one component actually moved. *)
 let aitken t ~row =
   let off = row * t.stride in
   let last = off + t.nlev.(row) - 1 in
@@ -233,12 +244,13 @@ let aitken t ~row =
   done;
   !moved
 
-(* Mirrors [Eval.restore_xs] on one row's stripe. *)
+(* Revert a rejected extrapolation: [xs <- xs_safe] on the row. *)
 let restore_xs t ~row =
   let off = row * t.stride in
   Array.blit t.xs_safe off t.xs off t.nlev.(row)
 
-(* Mirrors [Fixed_point.max_abs_diff] over the row's live prefix. *)
+(* [Fixed_point.max_abs_diff] of [xs_prev] and [xs] over the row's live
+   prefix. *)
 let max_abs_diff_xs t ~row =
   let s = t.s in
   let off = row * t.stride in
@@ -249,8 +261,8 @@ let max_abs_diff_xs t ~row =
   done;
   s.(slot_acc)
 
-(* Outer-loop mu drift, mirroring [Fixed_point.max_abs_diff prev mus']
-   in [Optimizer.solve_with]: |previous round's mu - this round's mu|. *)
+(* Outer-loop mu drift, [Fixed_point.max_abs_diff prev_mu mu] over the
+   row: |previous round's mu - this round's mu|. *)
 let mu_drift t ~row =
   let s = t.s in
   let off = row * t.stride in

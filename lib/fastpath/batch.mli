@@ -1,12 +1,20 @@
-(** Struct-of-arrays batch workspace for solving K problems per pass.
+(** Struct-of-arrays workspace for the Algorithm-1 solver, one row per
+    problem.
 
     Each row of the batch owns a contiguous stripe of every per-level
-    array; the evaluation kernels are row-indexed twins of {!Eval} (and
-    therefore of the [Multilevel] reference implementation) under the
-    same bit-identity contract — see lib/fastpath/README.md, "Batch
-    evaluation".  A batch instance is single-domain scratch: the driver
-    ([Optimizer.solve_batch]) keeps one per domain in DLS, and stripes
-    handed to pool workers land on that worker's own instance. *)
+    array.  The evaluation kernels are row-indexed, allocation-free
+    versions of the [Ckpt_model.Multilevel] reference functions and are
+    {e bit-identical} to them: the same floating-point operations in the
+    same order, reading per-level terms from the stripes instead of
+    re-evaluating overhead laws — see lib/fastpath/README.md.  The
+    caller (the model library, which knows the overhead laws) fills a
+    row's terms at a scale before invoking a kernel on it.
+
+    A batch instance is single-domain scratch: [Optimizer] keeps one per
+    domain in domain-local storage and runs both [Optimizer.solve] (on
+    row 0) and [Optimizer.solve_batch] on it, so neither may be
+    re-entered within a domain; stripes handed to pool workers land on
+    that worker's own instance. *)
 
 type t = {
   mutable rows : int;
@@ -30,23 +38,51 @@ type t = {
   s : float array;
 }
 
-(** Shared scalar slots.  [slot_g]/[slot_gd] equal the {!Workspace}
-    indices so [Multilevel.fill_speedup] writes either scratch array. *)
+(** Shared scalar slots of [s].  Rows are solved to completion one at a
+    time, so the slots hold the current row's state. *)
 
 val slot_g : int
+(** Speedup [g(n)] at the scale last filled. *)
+
 val slot_gd : int
+(** Speedup derivative [g'(n)] at the scale last filled. *)
+
 val slot_acc : int
 val slot_acc2 : int
 val slot_acc3 : int
+(** Accumulator scratch owned by whichever kernel is running. *)
+
 val slot_n : int
+(** The solver's scale iterate — kept in a slot because a float argument
+    threaded through a (non-inlined) recursive loop boxes on every call. *)
+
 val slot_wall : int
+(** E(T_w) of the row's last inner solve. *)
+
 val slot_est : int
+(** The outer loop's wall-clock estimate, which scales the mu laws. *)
+
 val slot_fevals : int
+(** Running count of Eq. 24 evaluations during the row's solve. *)
+
 val slot_fallbacks : int
+(** Running count of rejected (safeguard-reverted) extrapolations. *)
+
 val slot_hist : int
+(** Consecutive plain fixed-point steps since the Aitken history was
+    last reset. *)
+
 val slot_accel : int
+(** 1. while [xs] holds an extrapolated iterate whose residual has not
+    been measured yet, else 0. *)
+
 val slot_dxref : int
+(** Residual of the plain step preceding a pending extrapolation — the
+    bar the extrapolated step must beat to be accepted. *)
+
 val slot_nsafe : int
+(** Scale iterate paired with [xs_safe], restored on rejection. *)
+
 val num_slots : int
 
 val create : ?rows:int -> ?stride:int -> unit -> t
@@ -74,17 +110,18 @@ val expected_wall_clock : t -> row:int -> te:float -> alloc:float -> float
 val young_init : t -> row:int -> te:float -> unit
 (** Eq. (25) into the row's [xs], in place. *)
 
-val save_xs : t -> row:int -> unit
 val max_abs_diff_xs : t -> row:int -> float
+(** Max absolute difference between the row's [xs_prev] and [xs] — the
+    inner fixed point's convergence metric. *)
 
 val rotate_xs : t -> row:int -> unit
-(** [Eval.rotate_xs] on one row's stripe: push the iterate history down
-    one step before a sweep. *)
+(** Push the row's iterate history down one step ([xs_prev -> xs_prev2],
+    [xs -> xs_prev]) before a sweep. *)
 
 val aitken : t -> row:int -> bool
-(** [Eval.aitken] on one row's stripe: safeguarded Aitken delta-squared
-    extrapolation, plain iterate saved for {!restore_xs}; returns
-    [true] iff some component moved. *)
+(** Safeguarded componentwise Aitken delta-squared extrapolation of the
+    row's last three iterates, plain iterate saved for {!restore_xs};
+    returns [true] iff some component moved. *)
 
 val restore_xs : t -> row:int -> unit
 (** Revert a rejected extrapolation on one row's stripe. *)

@@ -1,8 +1,8 @@
 (* Contracts of the fastpath, at two layers.
 
-   Evaluation kernels (E(T_w), Eq. 23/24, batched failure sampling, the
-   inline pool) must return results *bitwise* equal to the reference
-   paths they replace — those tests are unchanged.
+   Evaluation kernels (E(T_w) through the solver's batch fill, batched
+   failure sampling, the inline pool) must return results *bitwise*
+   equal to the reference paths they replace.
 
    The solvers themselves are accelerated (superlinear scale search,
    Aitken extrapolation, warm outer rounds, cross-row batch seeding), so
@@ -18,7 +18,6 @@ module Failure_spec = Ckpt_failures.Failure_spec
 module Arrivals = Ckpt_failures.Arrivals
 module Rng = Ckpt_numerics.Rng
 module Dist = Ckpt_numerics.Dist
-module Workspace = Ckpt_fastpath.Workspace
 module Draw_buffer = Ckpt_fastpath.Draw_buffer
 module Pool = Ckpt_parallel.Pool
 
@@ -82,31 +81,7 @@ let check_equiv_plan ?strict_n msg (a : Optimizer.plan) (b : Optimizer.plan) =
       msg a.Optimizer.n b.Optimizer.n a.Optimizer.wall_clock
       b.Optimizer.wall_clock a.Optimizer.converged b.Optimizer.converged
 
-let sol_equiv ?(strict_n = false) (a : Multilevel.solution)
-    (b : Multilevel.solution) =
-  let n_ok =
-    Float.round a.Multilevel.n = Float.round b.Multilevel.n
-    || ((not strict_n) && Float.abs (a.Multilevel.n -. b.Multilevel.n) <= 0.5)
-  in
-  Array.length a.Multilevel.xs = Array.length b.Multilevel.xs
-  && n_ok
-  && rel_close a.Multilevel.wall_clock b.Multilevel.wall_clock
-  && a.Multilevel.converged = b.Multilevel.converged
-
-(* ---------------- workspace & draw buffer units ---------------- *)
-
-let test_workspace_reserve () =
-  let ws = Workspace.create ~levels:2 () in
-  Workspace.reserve ws ~levels:2;
-  ws.Workspace.s.(Workspace.slot_key) <- 7.;
-  Workspace.reserve ws ~levels:9;
-  Alcotest.(check int) "live prefix" 9 ws.Workspace.levels;
-  Alcotest.(check bool) "reserve invalidates" true
-    (Float.is_nan (Workspace.key ws));
-  Alcotest.(check bool) "capacity grew" true (Array.length ws.Workspace.ci >= 9);
-  ws.Workspace.xs.(3) <- 42.;
-  Alcotest.(check bool) "xs_copy takes the live prefix" true
-    (Array.length (Workspace.xs_copy ws) = 9 && (Workspace.xs_copy ws).(3) = 42.)
+(* ---------------- draw buffer units ---------------- *)
 
 let test_draw_buffer_matches_direct () =
   List.iter
@@ -176,12 +151,12 @@ let test_table2_iteration_monotonicity () =
       !total_fast !total_slow
 
 let test_wall_clock_fast_bit_identical () =
-  let ws = Workspace.create () in
-  let p = params_of (problem ()) ~estimate:(40. *. 86400.) in
+  let p = problem () and estimate = 40. *. 86400. in
+  let params = params_of p ~estimate in
   List.iter
     (fun (xs, n) ->
-      let want = Multilevel.expected_wall_clock p ~xs ~n in
-      let got = Multilevel.expected_wall_clock_fast ws p ~xs ~n in
+      let want = Multilevel.expected_wall_clock params ~xs ~n in
+      let got = Optimizer.expected_wall_clock p ~estimate ~xs ~n in
       if not (same_bits got want) then
         Alcotest.failf "E(Tw) at n=%g: %h <> %h" n got want)
     [ ([| 1000.; 500.; 200.; 50. |], 5e5);
@@ -191,36 +166,44 @@ let test_wall_clock_fast_bit_identical () =
 let qcheck_tests =
   let open QCheck in
   let case = oneofl table2_cases in
-  [ Test.make ~name:"optimize is plan-equivalent to optimize_reference"
-      ~count:60
-      (quad case (float_range 1e5 1e7) (float_range 10. 600.) (float_range 10. 80.))
-      (fun (case, te_core_days, alloc, estimate_days) ->
-        let p =
-          params_of (problem ~case ~te_core_days ~alloc ())
-            ~estimate:(estimate_days *. 86400.)
-        in
-        let fast = Multilevel.optimize p in
-        let slow = Multilevel.optimize_reference p in
-        (* Plan equivalence is unconditional.  The work bounds are loose
-           on purpose: on adversarial off-corpus problems an accepted
-           Aitken jump can cost a polish iteration and a rejected one a
-           full extra scale search, so pointwise monotonicity holds only
-           on the Table II corpus (test_table2_iteration_monotonicity
-           asserts it strictly there); here the bounds catch the fast
-           path ever degenerating below plain bisection asymptotics. *)
-        sol_equiv fast slow
-        && fast.Multilevel.iterations <= slow.Multilevel.iterations + 3
-        && fast.Multilevel.f_evals <= 2 * slow.Multilevel.f_evals);
-    Test.make ~name:"optimize with fixed_n and warm init stays plan-equivalent"
+  [ Test.make ~name:"solve is plan-equivalent to solve_reference" ~count:60
+      (triple case (float_range 1e5 1e7) (float_range 10. 600.))
+      (fun (case, te_core_days, alloc) ->
+        let p = problem ~case ~te_core_days ~alloc () in
+        let fast = Optimizer.solve p and slow = Optimizer.solve_reference p in
+        (* The reference's stopping rule (mu drift <= delta) can be met
+           by coincidence while the free scale still moves: N falling and
+           E(T_w) rising cancel in mu = lambda(N) E(T_w), about once in
+           10^4 draws here, and the reference stops short of its own
+           fixed point.  Resumed from its own plan it reaches that fixed
+           point, which is where the accelerated solve must land.  The
+           work bounds catch the accelerated path ever degenerating below
+           the plain iteration: over random te and alloc it has spent
+           well under the reference's inner iterations and Eq. 24
+           evaluations. *)
+        (plan_equiv fast slow
+        || plan_equiv fast (Optimizer.solve_reference ~warm:slow p))
+        && fast.Optimizer.inner_iterations <= slow.Optimizer.inner_iterations
+        && fast.Optimizer.f_evals <= slow.Optimizer.f_evals);
+    Test.make ~name:"solve with fixed_n and warm stays plan-equivalent"
       ~count:40
-      (triple case (float_range 1e4 9e5) (float_range 1. 3.))
-      (fun (case, fixed_n, x0) ->
-        let p = params_of (problem ~case ()) ~estimate:(30. *. 86400.) in
-        let init = ([| x0; x0 *. 2.; x0 *. 7.; x0 |], fixed_n) in
-        let fast = Multilevel.optimize ~fixed_n ~init p in
-        let slow = Multilevel.optimize_reference ~fixed_n ~init p in
-        sol_equiv fast slow
-        && fast.Multilevel.iterations <= slow.Multilevel.iterations);
+      (quad case (float_range 1e4 9e5) (float_range 1. 3.) (float_range 0.8 1.25))
+      (fun (case, fixed_n, x0, ratio) ->
+        (* The seed is a neighbouring problem's plan at a neighbouring
+           scale, with intervals far below the optimum; the pinned
+           solve must still land on the cold reference plan. *)
+        let p = problem ~case () in
+        let neighbour =
+          Optimizer.solve ~fixed_n:(fixed_n *. ratio)
+            { p with Optimizer.te = p.Optimizer.te *. ratio }
+        in
+        let warm =
+          { neighbour with Optimizer.xs = [| x0; x0 *. 2.; x0 *. 7.; x0 |] }
+        in
+        let fast = Optimizer.solve ~fixed_n ~warm p in
+        let slow = Optimizer.solve_reference ~fixed_n p in
+        plan_equiv fast slow
+        && fast.Optimizer.inner_iterations <= slow.Optimizer.inner_iterations);
     Test.make ~name:"full Algorithm 1 solve is plan-equivalent" ~count:25
       (pair case (float_range 5e5 5e6))
       (fun (case, te_core_days) ->
@@ -229,14 +212,29 @@ let qcheck_tests =
         plan_equiv fast slow
         && fast.Optimizer.inner_iterations <= slow.Optimizer.inner_iterations);
     Test.make ~name:"warm solve lands on the cold reference plan" ~count:25
-      (triple case (float_range 5e5 5e6) (float_range 0.8 1.25))
-      (fun (case, te_core_days, ratio) ->
+      (quad case (float_range 5e5 5e6) (float_range 0.8 1.25)
+         (oneofl [ `Good; `N_nan; `N_inf; `N_half; `Xs_nan ]))
+      (fun (case, te_core_days, ratio, seed) ->
         (* A plan for a neighbouring problem (te scaled by [ratio]) seeds
            the solve; the result must still be the reference's plan for
-           the *unseeded* problem. *)
+           the *unseeded* problem.  Bad seeds — a non-finite or < 1
+           scale, a non-finite interval — must be discarded component by
+           component, as the reference's [init] does, not carried into
+           the iteration. *)
         let p = problem ~case ~te_core_days () in
         let neighbour = { p with Optimizer.te = p.Optimizer.te *. ratio } in
         let warm = Optimizer.solve neighbour in
+        let warm =
+          match seed with
+          | `Good -> warm
+          | `N_nan -> { warm with Optimizer.n = Float.nan }
+          | `N_inf -> { warm with Optimizer.n = Float.infinity }
+          | `N_half -> { warm with Optimizer.n = 0.5 }
+          | `Xs_nan ->
+              let xs = Array.copy warm.Optimizer.xs in
+              xs.(1) <- Float.nan;
+              { warm with Optimizer.xs }
+        in
         let fast = Optimizer.solve ~warm p in
         let slow = Optimizer.solve_reference p in
         plan_equiv fast slow);
@@ -263,17 +261,25 @@ let qcheck_tests =
                plan_equiv plan want)
              plans jobs);
     Test.make ~name:"E(Tw) workspace evaluation is bit-identical" ~count:100
-      (pair
+      (triple
          (quad (float_range 1. 1e4) (float_range 1. 5e3) (float_range 1. 1e3)
             (float_range 1. 200.))
-         (float_range 1e3 9e5))
-      (fun ((x1, x2, x3, x4), n) ->
-        let ws = Workspace.create () in
-        let p = params_of (problem ()) ~estimate:(40. *. 86400.) in
+         (float_range 1e3 9e5)
+         (oneofl
+            [ Speedup.quadratic ~kappa:0.46 ~n_star:1e6;
+              Speedup.amdahl ~serial_fraction:2e-6 ~peak:8e5;
+              Speedup.gustafson ~serial_fraction:0.05 ~peak:6e5;
+              Speedup.linear ~kappa:0.46 ]))
+      (fun ((x1, x2, x3, x4), n, speedup) ->
+        (* Every arm of the solver's speedup fill (quadratic, Amdahl, and
+           the shape-dispatched law behind Gustafson and linear) against
+           the closure-evaluated reference. *)
+        let p = { (problem ()) with Optimizer.speedup } in
+        let estimate = 40. *. 86400. in
         let xs = [| x1; x2; x3; x4 |] in
         same_bits
-          (Multilevel.expected_wall_clock_fast ws p ~xs ~n)
-          (Multilevel.expected_wall_clock p ~xs ~n));
+          (Optimizer.expected_wall_clock p ~estimate ~xs ~n)
+          (Multilevel.expected_wall_clock (params_of p ~estimate) ~xs ~n));
     Test.make ~name:"batched arrivals equal unbatched draw-for-draw" ~count:40
       (triple (int_range 0 1_000_000) (oneofl table2_cases) (float_range 1e4 9e5))
       (fun (seed, case, scale) ->
@@ -326,6 +332,18 @@ let test_solve_batch_mixed () =
         (Optimizer.solve_reference ~delta:j.Optimizer.delta
            ?fixed_n:j.Optimizer.fixed_n j.Optimizer.problem))
     jobs;
+  (* A row pinned below scale 1 seeds the free-scale row after it in the
+     walk: the seed is checked exactly as [solve ~warm] checks a
+     caller's plan (its scale discarded), so both land on the same bits. *)
+  let below = Optimizer.solve_batch [| Optimizer.batch_job ~fixed_n:0.5 p;
+                                       Optimizer.batch_job p |] in
+  let alone = Optimizer.solve ~warm:below.(0) p in
+  Alcotest.(check bool) "batch seeding = solve ~warm seeding" true
+    (same_bits below.(1).Optimizer.wall_clock alone.Optimizer.wall_clock
+     && same_bits below.(1).Optimizer.n alone.Optimizer.n
+     && below.(1).Optimizer.inner_iterations = alone.Optimizer.inner_iterations);
+  check_equiv_plan ~strict_n:true "free row seeded below scale 1" below.(1)
+    (Optimizer.solve_reference p);
   Alcotest.(check int) "empty batch" 0 (Array.length (Optimizer.solve_batch [||]))
 
 (* ---------------- batched simulation across worker counts ------------- *)
@@ -400,8 +418,7 @@ let test_inline_pool_error_contract () =
 let () =
   Alcotest.run "ckpt_fastpath"
     [ ( "units",
-        [ Alcotest.test_case "workspace reserve" `Quick test_workspace_reserve;
-          Alcotest.test_case "draw buffer = direct draws" `Quick
+        [ Alcotest.test_case "draw buffer = direct draws" `Quick
             test_draw_buffer_matches_direct;
           Alcotest.test_case "draw buffer validation" `Quick
             test_draw_buffer_validation ] );

@@ -292,7 +292,7 @@ let test_multilevel_x_update_solves_foc () =
 
 let test_multilevel_optimize_stationary () =
   let p = ml_params () in
-  let s = Multilevel.optimize p in
+  let s = Multilevel.optimize_reference p in
   Alcotest.(check bool) "converged" true s.Multilevel.converged;
   for level = 1 to 4 do
     Alcotest.(check bool)
@@ -308,7 +308,7 @@ let test_multilevel_optimize_stationary () =
 
 let test_multilevel_fixed_n () =
   let p = ml_params () in
-  let s = Multilevel.optimize ~fixed_n:1e6 p in
+  let s = Multilevel.optimize_reference ~fixed_n:1e6 p in
   check_close ~tol:1e-9 "scale pinned" 1e6 s.Multilevel.n
 
 let test_multilevel_single_level_degenerate () =
@@ -334,7 +334,7 @@ let test_multilevel_single_level_degenerate () =
         (Single_level.expected_wall_clock sl ~x ~n +. offset)
         (Multilevel.expected_wall_clock p ~xs:[| x |] ~n))
     [ (100., 2e4); (797., 81_746.); (2_000., 9e4) ];
-  let m = Multilevel.optimize p in
+  let m = Multilevel.optimize_reference p in
   let s = Single_level.optimize sl in
   check_rel ~tol:0.05 "x close" s.Single_level.x m.Multilevel.xs.(0);
   check_rel ~tol:0.05 "n close" s.Single_level.n m.Multilevel.n

@@ -407,6 +407,45 @@ let json_bench () =
         let table2_timing = time_ns ~reps:table2_reps solve_table2 in
         let table2_plans = solve_table2 () in
         let table2_sum f = List.fold_left (fun acc p -> acc + f p) 0 table2_plans in
+        (* Free-scale batch rows, the path the server's cache misses
+           take: one [Optimizer.solve_batch] over 16 unrelated problems
+           (Table II rate patterns scaled 0.5-2x at a quadratic
+           speedup's peak, FTI levels), drawn with a fixed seed, plus
+           one 8-point te sweep of a 17th.  Only its deterministic
+           iteration counts are committed to the baseline. *)
+        let free_problems =
+          let rng = Random.State.make [| 17 |] in
+          let uniform lo hi = lo +. Random.State.float rng (hi -. lo) in
+          let log_uniform lo hi = exp (uniform (log lo) (log hi)) in
+          let cases = Array.of_list E.Paper_data.cases in
+          Array.init 17 (fun _ ->
+              let n_star = log_uniform 2e5 2e6 in
+              let factor = uniform 0.5 2. in
+              let case = cases.(Random.State.int rng (Array.length cases)) in
+              let rates = (Failure_spec.of_string case).Failure_spec.rates_per_day in
+              { Optimizer.te = log_uniform 5e5 5e6 *. 86_400.;
+                speedup = Speedup.quadratic ~kappa:(uniform 0.35 0.6) ~n_star;
+                levels = Level.fti_fusion;
+                alloc = uniform 20. 120.;
+                spec =
+                  Failure_spec.v ~baseline_scale:n_star
+                    (Array.map (( *. ) factor) rates) })
+        in
+        let batch_jobs = Array.init 16 (fun i -> Optimizer.batch_job free_problems.(i)) in
+        let swept = free_problems.(16) in
+        let sweep_tes =
+          Array.init 8 (fun j -> swept.Optimizer.te *. (1. +. (0.05 *. float_of_int j)))
+        in
+        let solve_batch_free () =
+          ( Optimizer.solve_batch batch_jobs,
+            Optimizer.sweep ~axis:`Te ~values:sweep_tes swept )
+        in
+        let batch_free_reps = 20 in
+        let batch_free_timing = time_ns ~reps:batch_free_reps solve_batch_free in
+        let batch_free_plans, (_, batch_free_sweep) = solve_batch_free () in
+        let batch_free_sum f =
+          Array.fold_left (fun acc p -> acc + f p) 0 batch_free_plans
+        in
         (* Registry: independent experiment renders, fanned across domains. *)
         let registry_ids = [ "fig3"; "table2"; "costmodel" ] in
         let registry_experiments =
@@ -441,6 +480,21 @@ let json_bench () =
                 ~inner:(table2_sum (fun p -> p.Optimizer.inner_iterations))
                 ~outer:(table2_sum (fun p -> p.Optimizer.outer_iterations))
                 ~f_evals:(table2_sum (fun p -> p.Optimizer.f_evals)) ];
+          J.Obj
+            [ ("kernel", J.String "solve-batch-free-scale");
+              ("workers", J.Number 1.);
+              ("reps", J.Number (float_of_int batch_free_reps));
+              timing_obj "wall" batch_free_timing;
+              iterations_obj
+                ~inner:
+                  (batch_free_sum (fun p -> p.Optimizer.inner_iterations)
+                  + batch_free_sweep.Optimizer.inner_iterations)
+                ~outer:
+                  (batch_free_sum (fun p -> p.Optimizer.outer_iterations)
+                  + batch_free_sweep.Optimizer.outer_iterations)
+                ~f_evals:
+                  (batch_free_sum (fun p -> p.Optimizer.f_evals)
+                  + batch_free_sweep.Optimizer.f_evals) ];
           bench_entry
             ~kernel:(Printf.sprintf "registry-%s" (String.concat "+" registry_ids))
             ~workers ~reps ~baseline:registry_seq ~optimized:registry_par [] ])

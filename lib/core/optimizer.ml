@@ -204,9 +204,10 @@ let solve_reference ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9)
 
    Every evaluation kernel and fill is bit-identical to its closure-
    evaluated [Multilevel] reference; the iteration itself is accelerated
-   — ITP for the Eq. 24 scale search, safeguarded Aitken on the xs fixed
-   point, Anderson(1) secant steps and warm-seeded outer rounds, plus
-   cross-row warm starts in a batch — so each plan is plan-equivalent to
+   — ITP for the Eq. 24 scale search, seeded from the previous inner
+   iterate, safeguarded Aitken on the xs fixed point, Anderson(1) secant
+   steps and warm-seeded outer rounds, plus cross-row warm starts in a
+   batch — so each plan is plan-equivalent to
    [solve_reference] of the same job (same integer scale, E(T_w) within
    1e-9 relative), which test/test_fastpath.ml property-tests. *)
 
@@ -271,39 +272,108 @@ let batch_fill b (p : problem) ~row n =
    superlinear ITP probes refine the bracket, then the exact bisection
    recurrence is replayed over it, so the returned scale is bitwise the
    one plain bisection finds (at the same xs) in a fraction of the
-   Eq. 24 evaluations.  A live [hint] (warm-seeded rounds, round 0 only)
-   brackets geometrically around the previous scale first.  Leaves the
-   row filled at the last probed scale. *)
-let batch_solve_scale b p ?hint ~row ~n_hi () =
+   Eq. 24 evaluations.
+
+   The search is seeded from the scale iterate N in [slot_n].  Between
+   inner iterations N mostly moves by less than 0.5, so f is probed at
+   N - 0.5 and N + 0.5 first.  When the two straddle the root they go
+   to [itp_integer] as its [inner] bracket; when they do not, their
+   signs say on which side the root lies, and steps doubling outward
+   from N/256 find a bracket there.  Either way the f(n_hi) and f(1)
+   endpoint probes are skipped (or paid only where the stepping reaches
+   an end) while the replay still runs over [1, n_hi]: the same
+   bisection lattice, so the same root bits, as long as f changes sign
+   once on [1, n_hi] — the contract [itp_integer] already relies on.
+   A seed that does not fit inside [1, n_hi], as on a cold round's first
+   search from n_hi, or that hits an exact zero, falls back to the
+   endpoint probes.
+
+   [widen] marks a warm round's first search, whose iterate is a
+   neighbouring plan's scale: its lattice is the bracket that grows
+   geometrically around N until f changes sign.  A straddling seed
+   shows the first bracket [N/2, 2N] already does, so it is passed as
+   the inner bracket of that lattice; a missing seed falls back.
+
+   Leaves the row filled at the returned scale. *)
+let batch_solve_scale b p ~widen ~row ~n_hi () =
   let s = b.Batch.s in
+  let n = s.(Batch.slot_n) in
   let f n =
     s.(Batch.slot_fevals) <- s.(Batch.slot_fevals) +. 1.;
     batch_fill b p ~row n;
     Batch.d_dn b ~row ~te:p.te ~alloc:p.alloc
   in
-  let f_hi = f n_hi in
-  if f_hi <= 0. then n_hi
-  else begin
-    let f_1 = f 1. in
-    if f_1 >= 0. then 1.
+  let itp ?flo ?fhi ?inner lo hi =
+    (Ckpt_numerics.Roots.itp_integer ?flo ?fhi ?inner ~f ~lo ~hi ())
+      .Ckpt_numerics.Roots.root
+  in
+  (* A warm round's first bracket, before any growing. *)
+  let widen_lo = Float.max 1. (n /. 2.) and widen_hi = Float.min n_hi (n *. 2.) in
+  let unseeded () =
+    let f_hi = f n_hi in
+    if f_hi <= 0. then n_hi
     else begin
-      let lo, hi, flo, fhi =
-        match hint with
-        | Some h when h > 1. && h < n_hi ->
-            let rec widen lo hi =
-              let flo = f lo and fhi = f hi in
-              if flo < 0. && fhi > 0. then (lo, hi, flo, fhi)
-              else
-                let lo' = if flo < 0. then lo else Float.max 1. (lo /. 4.) in
-                let hi' = if fhi > 0. then hi else Float.min n_hi (hi *. 4.) in
-                widen lo' hi'
-            in
-            widen (Float.max 1. (h /. 2.)) (Float.min n_hi (h *. 2.))
-        | _ -> (1., n_hi, f_1, f_hi)
-      in
-      (Ckpt_numerics.Roots.itp_integer ~flo ~fhi ~f ~lo ~hi ())
-        .Ckpt_numerics.Roots.root
+      let f_1 = f 1. in
+      if f_1 >= 0. then 1.
+      else if widen && n > 1. && n < n_hi then begin
+        let rec grow lo hi =
+          let flo = f lo and fhi = f hi in
+          if flo < 0. && fhi > 0. then itp ~flo ~fhi lo hi
+          else
+            let lo' = if flo < 0. then lo else Float.max 1. (lo /. 4.) in
+            let hi' = if fhi > 0. then hi else Float.min n_hi (hi *. 4.) in
+            grow lo' hi'
+        in
+        grow widen_lo widen_hi
+      end
+      else itp ~flo:f_1 ~fhi:f_hi 1. n_hi
     end
+  in
+  (* The root lies above [x], where f is negative: step up until f
+     turns positive. *)
+  let rec up x fx step =
+    let y = x +. step in
+    if y >= n_hi then begin
+      let f_hi = f n_hi in
+      if f_hi <= 0. then n_hi else itp ~inner:(x, fx, n_hi, f_hi) 1. n_hi
+    end
+    else begin
+      let fy = f y in
+      if fy > 0. then itp ~inner:(x, fx, y, fy) 1. n_hi
+      else if fy < 0. then up y fy (2. *. step)
+      else unseeded ()
+    end
+  in
+  (* The root lies below [x], where f is positive: step down until f
+     turns negative. *)
+  let rec down x fx step =
+    let y = x -. step in
+    if y <= 1. then begin
+      let f_1 = f 1. in
+      if f_1 >= 0. then 1. else itp ~inner:(1., f_1, x, fx) 1. n_hi
+    end
+    else begin
+      let fy = f y in
+      if fy < 0. then itp ~inner:(y, fy, x, fx) 1. n_hi
+      else if fy > 0. then down y fy (2. *. step)
+      else unseeded ()
+    end
+  in
+  if n -. 0.5 < 1. || n +. 0.5 > n_hi then unseeded ()
+  else begin
+    let step = Float.max 1. (n /. 256.) in
+    let below = n -. 0.5 and above = n +. 0.5 in
+    let f_below = f below in
+    if f_below < 0. then begin
+      let f_above = f above in
+      if f_above > 0. then
+        let inner = (below, f_below, above, f_above) in
+        if widen then itp ~inner widen_lo widen_hi else itp ~inner 1. n_hi
+      else if f_above < 0. && not widen then up above f_above step
+      else unseeded ()
+    end
+    else if f_below > 0. && not widen then down below f_below step
+    else unseeded ()
   end
 
 (* The inner optimizer on one row: [Multilevel.optimize_reference]'s
@@ -331,7 +401,13 @@ let batch_opt_finish b p ~row n iter converged =
    (the post-jump steps are their own transient); otherwise the step is
    reverted to the saved plain iterate and counted as a fallback — so a
    rejected extrapolation costs one iteration and never changes what the
-   plain iteration would have produced. *)
+   plain iteration would have produced.
+
+   Each free-scale search starts from the scale the sweep just ran at
+   ([slot_n]): a warm round's first widens around that neighbouring
+   plan's scale, every later one probes its ±0.5 neighbourhood first
+   ([batch_solve_scale]).  The seed changes which probes are evaluated,
+   never the root. *)
 let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
   let s = b.Batch.s in
   let n = s.(Batch.slot_n) in
@@ -343,9 +419,7 @@ let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
     let n' =
       match fixed_n with
       | Some n -> n
-      | None ->
-          let hint = if hinted && iter = 0 then Some n else None in
-          batch_solve_scale b p ?hint ~row ~n_hi ()
+      | None -> batch_solve_scale b p ~widen:(hinted && iter = 0) ~row ~n_hi ()
     in
     let dx = Batch.max_abs_diff_xs b ~row in
     let pending = s.(Batch.slot_accel) = 1. in
@@ -388,7 +462,8 @@ let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
    across rounds.  [warm] skips the Young restart: the xs stripe and
    [slot_n] already hold a neighbouring solution (the previous outer
    round's, or a seeded plan), so the iteration resumes from it and the
-   round-0 scale search brackets around it. *)
+   round's first scale search widens around it.  A cold round starts at
+   n_hi with Young's intervals. *)
 let batch_optimize b p ~row ~warm fixed_n ~n_hi =
   b.Batch.key.(row) <- nan;
   let s = b.Batch.s in

@@ -247,8 +247,12 @@ let handle_connection t fd index =
                  let id, op = envelope_of_line line in
                  if op = Some "shutdown" then begin
                    locked t (fun () -> count_op_locked t op);
-                   respond (shutdown_response id);
-                   stop t
+                   (* Drain before the ack: a client that reads
+                      "draining": true must find the server draining.
+                      [join] still waits for this thread, so the ack is
+                      written before the server exits. *)
+                   stop t;
+                   respond (shutdown_response id)
                  end
                  else begin
                    respond_line (process t ?id ~op line);

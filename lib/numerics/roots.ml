@@ -47,24 +47,47 @@ let bisect_integer ~f ~lo ~hi () = bisect_gen ~tol_x:0.5 ~max_iter:200 ~f ~lo ~h
    would have measured, and the returned root is bit-identical to
    [bisect_integer]'s at a fraction of the evaluations.  With multiple
    sign changes the result is still a valid bracketed root, just
-   possibly a different one than plain bisection picks. *)
-let itp_integer ?flo ?fhi ~f ~lo ~hi () =
+   possibly a different one than plain bisection picks.
+
+   [inner] is a refined bracket the caller already holds (a previous
+   root's neighbourhood): phase 1 starts from it instead of [lo, hi],
+   the endpoint signs are read off it, and the replay still runs over
+   [lo, hi], so the root stays on the same bisection lattice. *)
+let itp_integer ?flo ?fhi ?inner ~f ~lo ~hi () =
   let evals = ref 0 in
   let feval x = incr evals; f x in
-  let flo = match flo with Some v -> v | None -> feval lo in
-  let fhi = match fhi with Some v -> v | None -> feval hi in
-  check_bracket "itp" flo fhi;
-  if flo = 0. then { root = lo; iterations = 0; residual = 0.; f_evals = !evals }
-  else if fhi = 0. then { root = hi; iterations = 0; residual = 0.; f_evals = !evals }
+  (* [a0, b0]: the bracket phase 1 starts from, with its end values. *)
+  let a0, ya0, b0, yb0 =
+    match inner with
+    | None ->
+        let flo = match flo with Some v -> v | None -> feval lo in
+        let fhi = match fhi with Some v -> v | None -> feval hi in
+        check_bracket "itp" flo fhi;
+        (lo, flo, hi, fhi)
+    | Some (a, fa, b, fb) ->
+        let agrees known y =
+          match known with Some v -> sign v = sign y | None -> true
+        in
+        if not (lo <= a && a < b && b <= hi) then
+          invalid_arg "Roots.itp_integer: inner bracket not inside [lo, hi]";
+        if sign fa * sign fb >= 0 || not (agrees flo fa && agrees fhi fb) then
+          invalid_arg "Roots.itp_integer: inner bracket signs do not match";
+        (a, fa, b, fb)
+  in
+  (* Zero end values only occur at [lo, hi]: an inner bracket has none. *)
+  if ya0 = 0. then { root = lo; iterations = 0; residual = 0.; f_evals = !evals }
+  else if yb0 = 0. then { root = hi; iterations = 0; residual = 0.; f_evals = !evals }
   else begin
-    let sa = sign flo and sb = sign fhi in
-    (* Phase 1: ITP-refine [lo, hi] down to a half-width of [eps].
+    let sa = sign ya0 and sb = sign yb0 in
+    (* Phase 1: ITP-refine [a0, b0] down to a half-width of [eps].
        0.0625 leaves the refined bracket narrower than any bisection
        cell (>= 0.25 wide), so the replay below rarely needs more than
-       one real probe. *)
+       one real probe.  An inner bracket at most one unit wide skips
+       it: the replay's own interior probes settle such a bracket in
+       fewer evaluations than ITP spends refining it. *)
     let eps = 0.0625 in
-    let a = ref lo and b = ref hi in
-    let ya = ref flo and yb = ref fhi in
+    let a = ref a0 and b = ref b0 in
+    let ya = ref ya0 and yb = ref yb0 in
     (* sign-normalize so the function increases across the bracket *)
     let s = if sa < 0 then 1. else -1. in
     (* The ITP paper's recommended truncation constant.  Because delta
@@ -72,15 +95,17 @@ let itp_integer ?flo ?fhi ~f ~lo ~hi () =
        strong early (where interpolants are least trustworthy) and
        negligible once the bracket has narrowed — no regime switching
        needed. *)
-    let k1 = 0.2 /. (hi -. lo) in
+    let k1 = 0.2 /. (b0 -. a0) in
     (* n0 = 6 slack probes over the bisection count: the minmax envelope
        must leave the interpolant room to act after the first few probes
        spent balancing a badly skewed bracket — with the paper's n0 = 1
        the envelope radius collapses to zero after one non-midpoint
        probe and every later step degenerates to bisection. *)
     let n_max =
-      let w = (hi -. lo) /. (2. *. eps) in
-      (if w <= 1. then 0 else int_of_float (Float.ceil (Float.log w /. Float.log 2.))) + 6
+      if Option.is_some inner && b0 -. a0 <= 1. then 0
+      else
+        let w = (b0 -. a0) /. (2. *. eps) in
+        (if w <= 1. then 0 else int_of_float (Float.ceil (Float.log w /. Float.log 2.))) + 6
     in
     let j = ref 0 in
     let zero_hit = ref false in

@@ -35,6 +35,7 @@ val bisect_integer :
 val itp_integer :
   ?flo:float ->
   ?fhi:float ->
+  ?inner:float * float * float * float ->
   f:(float -> float) -> lo:float -> hi:float -> unit -> outcome
 (** Superlinear drop-in for {!bisect_integer}: ITP steps (regula falsi
     truncated toward the midpoint, projected onto the shrinking minmax
@@ -46,7 +47,20 @@ val itp_integer :
     worst case stays within one probe of the bisection budget.  [?flo]
     and [?fhi] pass along already-known endpoint values so the caller's
     guard evaluations are not repeated.
-    @raise No_bracket if the interval does not bracket a root. *)
+
+    [?inner:(a, fa, b, fb)] is a bracket the caller already knows to
+    straddle the root: [lo <= a < b <= hi], with [fa = f a] of the sign
+    of [f lo] and [fb = f b] of the sign of [f hi], both non-zero.  The
+    endpoints are then not evaluated (their signs are [fa]'s and
+    [fb]'s), ITP starts from [\[a, b\]] — or is skipped when
+    [b - a <= 1], where the replay's own probes are cheaper — and the
+    replay still runs over [\[lo, hi\]], so the returned [root] and
+    [iterations] are those of {!bisect_integer} on [\[lo, hi\]] under
+    the same single-sign-change condition.
+    @raise No_bracket if the interval does not bracket a root.
+    @raise Invalid_argument if [inner] is not inside [\[lo, hi\]], its
+    values are zero or of equal signs, or they disagree in sign with a
+    supplied [flo] / [fhi]. *)
 
 val newton :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> f':(float -> float) -> x0:float -> unit -> outcome

@@ -336,6 +336,24 @@ let test_itp_integer_endpoint_roots () =
   check_float "fhi endpoint" 10. r.Roots.root;
   Alcotest.(check int) "no evals when endpoints supplied" 0 r.Roots.f_evals
 
+(* An inner bracket that is not inside [lo, hi], does not change sign,
+   or disagrees with supplied endpoint values is refused, not searched
+   (accepted brackets are drawn by the bitwise-replay property). *)
+let test_itp_integer_inner_rejected () =
+  let f x = x -. 1000.3 in
+  let rejects msg ?flo ?fhi inner =
+    match Roots.itp_integer ?flo ?fhi ~inner ~f ~lo:1. ~hi:1e6 () with
+    | _ -> Alcotest.failf "%s: inner bracket accepted" msg
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "starts below lo" (0.5, f 0.5, 1001., f 1001.);
+  rejects "ends above hi" (999., f 999., 2e6, f 2e6);
+  rejects "reversed" (1001., f 1001., 999., f 999.);
+  rejects "same signs" (1001., f 1001., 1002., f 1002.);
+  rejects "zero end value" (1000.3, 0., 1001., f 1001.);
+  rejects "flo disagrees" ~flo:1. (999., f 999., 1001., f 1001.);
+  rejects "fhi disagrees" ~fhi:(-1.) (999., f 999., 1001., f 1001.)
+
 let test_brent_large_magnitude () =
   (* Relative termination: at |root| ~ 1e12 an absolute 1e-12 width is
      below the float spacing (~1.2e-4), so the old criterion could only
@@ -661,17 +679,29 @@ let qcheck_tests =
         Array.iter (Stats.Online.add o) xs;
         Float.abs (Stats.Online.mean o -. Stats.mean xs) < 1e-6);
     Test.make ~name:"itp_integer replays bisect_integer bitwise" ~count:500
-      (quad (float_range 1. 1e6) (float_range 1. 1e6) (float_range 0.3 3.)
-         (float_range (-1.) 1.))
-      (fun (a, b, p, skew) ->
+      (pair
+         (quad (float_range 1. 1e6) (float_range 1. 1e6) (float_range 0.3 3.)
+            (float_range (-1.) 1.))
+         (option (pair (float_range (-3.) 6.) (float_range (-3.) 6.))))
+      (fun ((a, b, p, skew), around) ->
         let lo = Float.min a b and hi = Float.max a b +. 1. in
         (* monotone curve with a root placed anywhere in the bracket
            (skew biases it toward an endpoint to hit shallow replays) *)
         let t = 0.5 +. (0.49 *. skew) in
         let root = lo +. (t *. (hi -. lo)) in
         let f x = ((x -. lo +. 1.) ** p) -. ((root -. lo +. 1.) ** p) in
+        (* optionally a caller-held inner bracket around the root, its
+           half-widths log-uniform from 1e-3 to 1e6 and clipped to
+           [lo, hi] *)
+        let inner =
+          Option.bind around (fun (da, db) ->
+              let a = Float.max lo (root -. (10. ** da))
+              and b = Float.min hi (root +. (10. ** db)) in
+              let fa = f a and fb = f b in
+              if fa < 0. && fb > 0. then Some (a, fa, b, fb) else None)
+        in
         let slow = Roots.bisect_integer ~f ~lo ~hi () in
-        let fast = Roots.itp_integer ~f ~lo ~hi () in
+        let fast = Roots.itp_integer ?inner ~f ~lo ~hi () in
         Int64.bits_of_float slow.Roots.root = Int64.bits_of_float fast.Roots.root
         && slow.Roots.iterations = fast.Roots.iterations
         (* worst case: ITP's minmax envelope refines to 1/4 of the
@@ -759,6 +789,8 @@ let () =
           Alcotest.test_case "itp bitwise replay" `Quick test_itp_integer_matches_bisect;
           Alcotest.test_case "itp eval budget" `Quick test_itp_integer_fewer_evals;
           Alcotest.test_case "itp endpoint roots" `Quick test_itp_integer_endpoint_roots;
+          Alcotest.test_case "itp inner bracket rejected" `Quick
+            test_itp_integer_inner_rejected;
           Alcotest.test_case "brent large magnitude" `Quick test_brent_large_magnitude;
           Alcotest.test_case "golden section" `Quick test_golden_minimum ] );
       ( "fixed-point",

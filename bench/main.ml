@@ -359,6 +359,23 @@ let bench_entry ~kernel ~workers ~reps ~baseline ~optimized extra =
          J.Number (if opt_mean > 0. then base_mean /. opt_mean else 0.) ) ]
     @ extra)
 
+(* A free-scale problem in the range where Algorithm 1 converges: a
+   Table II rate pattern scaled 0.5-2x at a quadratic speedup's peak,
+   FTI levels. *)
+let draw_free_problem rng =
+  let uniform lo hi = lo +. Random.State.float rng (hi -. lo) in
+  let log_uniform lo hi = exp (uniform (log lo) (log hi)) in
+  let cases = Array.of_list E.Paper_data.cases in
+  let n_star = log_uniform 2e5 2e6 in
+  let factor = uniform 0.5 2. in
+  let case = cases.(Random.State.int rng (Array.length cases)) in
+  let rates = (Failure_spec.of_string case).Failure_spec.rates_per_day in
+  { Optimizer.te = log_uniform 5e5 5e6 *. 86_400.;
+    speedup = Speedup.quadratic ~kappa:(uniform 0.35 0.6) ~n_star;
+    levels = Level.fti_fusion;
+    alloc = uniform 20. 120.;
+    spec = Failure_spec.v ~baseline_scale:n_star (Array.map (( *. ) factor) rates) }
+
 let json_bench () =
   let workers = Pool.recommended_workers () in
   let reps = 5 in
@@ -415,21 +432,7 @@ let json_bench () =
            iteration counts are committed to the baseline. *)
         let free_problems =
           let rng = Random.State.make [| 17 |] in
-          let uniform lo hi = lo +. Random.State.float rng (hi -. lo) in
-          let log_uniform lo hi = exp (uniform (log lo) (log hi)) in
-          let cases = Array.of_list E.Paper_data.cases in
-          Array.init 17 (fun _ ->
-              let n_star = log_uniform 2e5 2e6 in
-              let factor = uniform 0.5 2. in
-              let case = cases.(Random.State.int rng (Array.length cases)) in
-              let rates = (Failure_spec.of_string case).Failure_spec.rates_per_day in
-              { Optimizer.te = log_uniform 5e5 5e6 *. 86_400.;
-                speedup = Speedup.quadratic ~kappa:(uniform 0.35 0.6) ~n_star;
-                levels = Level.fti_fusion;
-                alloc = uniform 20. 120.;
-                spec =
-                  Failure_spec.v ~baseline_scale:n_star
-                    (Array.map (( *. ) factor) rates) })
+          Array.init 17 (fun _ -> draw_free_problem rng)
         in
         let batch_jobs = Array.init 16 (fun i -> Optimizer.batch_job free_problems.(i)) in
         let swept = free_problems.(16) in
@@ -575,6 +578,40 @@ let json_bench () =
         [ planner_iterations ];
       planner_entry ~kernel:"planner-batch64-fault-10pct" ~fault_rate:0.1 ~timing:faulted
         [ ("degraded_answers", J.Number (float_of_int degraded)) ] ]
+  in
+  (* Hot service lines: the path every cache hit takes through the
+     service — parse, key, lookup, encode — with no solve.  64 plan
+     lines of distinct free-scale problems (fixed seed) are solved and
+     cached first; each rep then sends the same 64 lines through
+     [Service.handle_line_string].  Only its minor words per rep go into
+     the committed baseline: a deterministic count that travels across
+     machines, where its timing would not. *)
+  let entries =
+    entries
+    @
+    let module Service = Ckpt_service.Service in
+    let rng = Random.State.make [| 64 |] in
+    let lines =
+      List.init 64 (fun i ->
+          J.to_string
+            (J.Obj
+               [ ("id", J.Number (float_of_int i));
+                 ("op", J.String "plan");
+                 ("problem", Codec.problem_to_json (draw_free_problem rng)) ]))
+    in
+    let service = Service.create ~workers:0 () in
+    Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+    let send_all () =
+      List.iter (fun l -> ignore (Service.handle_line_string service l)) lines
+    in
+    send_all ();
+    let reps = 20 in
+    [ J.Obj
+        [ ("kernel", J.String "service-hot-lines");
+          ("workers", J.Number 0.);
+          ("reps", J.Number (float_of_int reps));
+          ("lines_per_rep", J.Number (float_of_int (List.length lines)));
+          timing_obj "wall" (time_ns ~reps send_all) ] ]
   in
   (* WAL append throughput: the per-op durability cost the server pays
      under --wal-dir, swept across group-commit batches.  Each rep

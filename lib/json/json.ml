@@ -237,15 +237,54 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C formatter that [Printf]'s [%.17g] / [%.12g] / [%.0f] end in,
+   called without the format interpreter: same bytes, a fraction of the
+   cost. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Whether a [%.17g] rendering [s] rules out a [%.12g] round trip: it
+   shows all 17 significant digits and its 13th–17th digits, read as an
+   integer, lie in (1000, 99000).
+
+   Why that is exact, for a normal float f with decade k
+   (10^k <= |f| < 10^(k+1)) and u = 10^(k-16), the unit of S's 17th
+   digit: if D = [%.12g] f round-trips, f is the double nearest D, so
+   |f - D| <= half an ulp <= 2^-53 |f| < 11.2 u.  D has at most 12
+   significant digits in decade k or k+1, so it is a multiple of
+   10^5 u, and |S - f| <= 0.5 u.  S's distance to the nearest multiple
+   of 10^5 u is min(tail, 10^5 - tail) for its digit tail, so a tail
+   more than 12 away from 00000 and 99999 leaves no room for D; the
+   (1000, 99000) window keeps a wide margin.  The ulp bound fails for
+   subnormals (their ulp is fixed at 2^-1074, huge relative to f), so
+   the caller sends those down the exact path. *)
+let seventeen_digits_needed s =
+  let sig_digits = ref 0 and tail = ref 0 and i = ref 0 in
+  let n = String.length s in
+  while !i < n do
+    (match String.unsafe_get s !i with
+     | '0' .. '9' as c ->
+         if !sig_digits > 0 || c <> '0' then begin
+           incr sig_digits;
+           if !sig_digits > 12 then tail := (!tail * 10) + (Char.code c - 48)
+         end
+     | 'e' -> i := n
+     | _ -> ());
+    incr i
+  done;
+  !sig_digits = 17 && !tail > 1000 && !tail < 99000
+
+(* Solver output almost never round-trips at 12 digits, so the [%.12g]
+   attempt and its [float_of_string] run only when the [%.17g] digits
+   cannot rule the round trip out. *)
 let number_to_string f =
   if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
+  else if Float.is_integer f && Float.abs f < 1e15 then format_float "%.0f" f
   else begin
-    (* Shortest representation that round-trips. *)
-    let s = Printf.sprintf "%.17g" f in
-    let shorter = Printf.sprintf "%.12g" f in
-    if float_of_string shorter = f then shorter else s
+    let s = format_float "%.17g" f in
+    if Float.abs f >= Float.min_float && seventeen_digits_needed s then s
+    else
+      let shorter = format_float "%.12g" f in
+      if float_of_string shorter = f then shorter else s
   end
 
 let rec add_digits buf i =

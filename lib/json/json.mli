@@ -34,6 +34,22 @@ val to_string : ?pretty:bool -> t -> string
     indentation.  Strings are escaped per RFC 8259; non-finite numbers
     are emitted as [null] (JSON cannot represent them). *)
 
+val number_to_string : float -> string
+(** How every number is printed, byte for byte what
+    [Printf.sprintf] gives: ["null"] for a non-finite [f]; [%.0f] for an
+    integral [|f| < 1e15]; otherwise [%.12g] when that reads back as
+    exactly [f], else [%.17g].
+
+    It calls the C formatter behind [Printf] directly and skips the
+    [%.12g] attempt when the [%.17g] digits rule a round trip out: all
+    17 significant digits shown, with the 13th–17th, read as an
+    integer, in (1000, 99000).  For a normal float a round-tripping
+    12-digit [D] lies within half an ulp, at most [2^-53 |f|], of [f]:
+    under 12 units of the 17th digit, while such a tail is at least
+    1000 units from every 12-digit decimal.  Subnormals, whose ulp is
+    not bounded relative to [f], and every other case run the exact
+    test. *)
+
 (** {1 Buffer writers} — the compact serializer piecewise, for encoders
     that stream a response into a reusable buffer without building the
     tree first.  Output is byte-identical to the corresponding

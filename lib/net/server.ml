@@ -1,6 +1,7 @@
 module Json = Ckpt_json.Json
 module Service = Ckpt_service.Service
 module Protocol = Ckpt_service.Protocol
+module Wire = Ckpt_service.Wire
 module Chaos = Ckpt_chaos.Chaos
 
 type config = {
@@ -101,17 +102,6 @@ let op_counts t =
 
 (* ---------------- responses outside the service ---------------- *)
 
-(* One JSON parse per request line yields everything the server itself
-   routes on: the id (which must survive even on paths that never reach
-   the service's parser, so overload rejections can be correlated by
-   the client) and the op (in-band shutdown routing and the per-op
-   accounting behind {!op_counts}).  A line that is not JSON has
-   neither. *)
-let envelope_of_line line =
-  match Json.parse line with
-  | json -> (Json.member "id" json, Json.string_field "op" json)
-  | exception _ -> (None, None)
-
 let overloaded_response ?id ~capacity () =
   Protocol.error_response ?id
     (Protocol.error_v "overloaded"
@@ -129,6 +119,16 @@ let oversized_response ~max_line_bytes =
 
 let internal_response ?id e =
   Protocol.error_response ?id (Protocol.error_v "internal" (Printexc.to_string e))
+
+(* [Wire.parse_request] folds every malformed line into its envelope;
+   should it raise all the same, the line is answered as [internal]
+   like any other server bug, not by dropping the connection. *)
+let parse_envelope line =
+  try Wire.parse_request line
+  with e ->
+    { Protocol.id = None;
+      op = None;
+      request = Error (Protocol.error_v "internal" (Printexc.to_string e)) }
 
 let shutdown_response = function
   | Some id -> Json.Obj [ ("id", id); ("ok", Json.Bool true); ("draining", Json.Bool true) ]
@@ -181,10 +181,11 @@ let lock_with_deadline mutex ~ms =
   try_until ()
 
 (* Returns the response already rendered to its wire line: the hot
-   plan-shaped responses are streamed by [Service.handle_line_string]
+   plan-shaped responses are streamed by [Service.handle_parsed_line]
    without ever materializing a JSON tree, and the server writes the
    string out verbatim. *)
-let process t ?id ~op line =
+let process t (envelope : Protocol.envelope) line =
+  let id = envelope.Protocol.id in
   if not (Gate.try_acquire t.gate) then
     Json.to_string (overloaded_response ?id ~capacity:(Gate.capacity t.gate) ())
   else
@@ -197,12 +198,12 @@ let process t ?id ~op line =
         (* The service answers every parseable-or-not line structurally;
            anything it still raises is a server bug, answered as an
            [internal] error rather than a dropped connection. *)
-        try Service.handle_line_string t.service line
+        try Service.handle_parsed_line t.service envelope line
         with e -> Json.to_string (internal_response ?id e)
       in
       locked t (fun () ->
           t.requests <- t.requests + 1;
-          count_op_locked t op);
+          count_op_locked t envelope.Protocol.op);
       maybe_snapshot_locked t;
       response
 
@@ -244,18 +245,25 @@ let handle_connection t fd index =
                    if garbage && !first then "\x02\xff garbage " ^ line else line
                  in
                  first := false;
-                 let id, op = envelope_of_line line in
-                 if op = Some "shutdown" then begin
-                   locked t (fun () -> count_op_locked t op);
+                 (* One parse per line, before the coordinator is taken:
+                    the envelope carries everything the server routes on
+                    — the id (which must survive even on paths that
+                    never reach the service, so overload rejections can
+                    be correlated by the client) and the op (in-band
+                    shutdown and the per-op accounting behind
+                    {!op_counts}) — and the service answers from it. *)
+                 let envelope = parse_envelope line in
+                 if envelope.Protocol.op = Some "shutdown" then begin
+                   locked t (fun () -> count_op_locked t envelope.Protocol.op);
                    (* Drain before the ack: a client that reads
                       "draining": true must find the server draining.
                       [join] still waits for this thread, so the ack is
                       written before the server exits. *)
                    stop t;
-                   respond (shutdown_response id)
+                   respond (shutdown_response envelope.Protocol.id)
                  end
                  else begin
-                   respond_line (process t ?id ~op line);
+                   respond_line (process t envelope line);
                    if half_close && !answered = 1 then
                      (* Injected half-close: our write side goes away
                         after the first response; keep draining reads so

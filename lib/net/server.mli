@@ -126,8 +126,9 @@ val op_counts : t -> (string * int) list
     by op name — ["invalid"] buckets lines whose op could not be read
     (non-JSON or missing field), and in-band ["shutdown"] requests are
     counted even though they never reach the service.  The server parses
-    each line's envelope exactly once and routes from it, so these
-    counters cost no extra parse. *)
+    each line's envelope exactly once, routes from it and hands it to
+    the service to answer from, so these counters cost no extra
+    parse. *)
 
 val connections : t -> int
 (** Connections accepted so far. *)

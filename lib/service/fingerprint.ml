@@ -3,59 +3,103 @@ module Failure_spec = Ckpt_failures.Failure_spec
 
 let default_precision = 9
 
-let float_repr ~precision x =
+(* The C formatter [Printf]'s [%.*e] ends in, called directly with a
+   format string built once per precision: same bytes, no format
+   interpreter on the key path. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let e_format precision = Printf.sprintf "%%.%de" (precision - 1)
+let e_formats = Array.init 18 (fun p -> if p = 0 then "" else e_format p)
+
+let float_repr ~precision =
   if precision < 1 then invalid_arg "Fingerprint.float_repr: precision < 1";
-  if x = 0. then "0" (* covers -0. *)
-  else if Float.is_nan x then "nan"
-  else if x = infinity then "inf"
-  else if x = neg_infinity then "-inf"
-  else Printf.sprintf "%.*e" (precision - 1) x
+  let fmt =
+    if precision < Array.length e_formats then e_formats.(precision)
+    else e_format precision
+  in
+  fun x ->
+    if x = 0. then "0" (* covers -0. *)
+    else if Float.is_nan x then "nan"
+    else if x = infinity then "inf"
+    else if x = neg_infinity then "-inf"
+    else format_float fmt x
 
-let speedup_repr ~f (s : Speedup.t) =
-  match s.Speedup.form with
-  | Speedup.Linear { kappa } -> Printf.sprintf "linear,kappa=%s" (f kappa)
-  | Speedup.Quadratic { kappa; n_star } ->
-      Printf.sprintf "quadratic,kappa=%s,n_star=%s" (f kappa) (f n_star)
-  | Speedup.Amdahl { serial_fraction; peak } ->
-      Printf.sprintf "amdahl,s=%s,peak=%s" (f serial_fraction) (f peak)
-  | Speedup.Gustafson { serial_fraction; peak } ->
-      Printf.sprintf "gustafson,s=%s,peak=%s" (f serial_fraction) (f peak)
-  | Speedup.Custom ->
-      invalid_arg "Fingerprint.canonical: custom speedups have no canonical form"
-
-let overhead_repr ~f (o : Overhead.t) =
-  Printf.sprintf "eps=%s,alpha=%s,h=%s" (f o.Overhead.eps) (f o.Overhead.alpha)
-    o.Overhead.h_name
-
-let level_repr ~f (l : Level.t) =
-  (* Names excluded: labels only.  Hierarchy order is preserved by the
-     caller — position is semantic. *)
-  Printf.sprintf "c(%s)r(%s)" (overhead_repr ~f l.Level.ckpt) (overhead_repr ~f l.Level.restart)
-
+(* The canonical form, appended piece by piece into one buffer in the
+   order the hashed text has always had:
+   v1|alloc=A|baseline=B|levels=L1;L2..|rates=R1,R2..|speedup=S|te=T
+   with Li = c(eps=E,alpha=A,h=H)r(eps=E,alpha=A,h=H).  Names are
+   excluded (labels only); hierarchy order is preserved — position is
+   semantic. *)
 let canonical ?(precision = default_precision) (p : Optimizer.problem) =
   let f = float_repr ~precision in
-  let levels =
-    p.Optimizer.levels |> Array.map (level_repr ~f) |> Array.to_list |> String.concat ";"
+  let buf = Buffer.create 512 in
+  let add = Buffer.add_string buf in
+  let num x = add (f x) in
+  let overhead (o : Overhead.t) =
+    add "eps=";
+    num o.Overhead.eps;
+    add ",alpha=";
+    num o.Overhead.alpha;
+    add ",h=";
+    add o.Overhead.h_name
   in
-  let rates =
-    p.Optimizer.spec.Failure_spec.rates_per_day
-    |> Array.map f |> Array.to_list |> String.concat ","
-  in
-  Printf.sprintf "v1|alloc=%s|baseline=%s|levels=%s|rates=%s|speedup=%s|te=%s"
-    (f p.Optimizer.alloc)
-    (f p.Optimizer.spec.Failure_spec.baseline_scale)
-    levels rates
-    (speedup_repr ~f p.Optimizer.speedup)
-    (f p.Optimizer.te)
+  add "v1|alloc=";
+  num p.Optimizer.alloc;
+  add "|baseline=";
+  num p.Optimizer.spec.Failure_spec.baseline_scale;
+  add "|levels=";
+  Array.iteri
+    (fun i (l : Level.t) ->
+      if i > 0 then Buffer.add_char buf ';';
+      add "c(";
+      overhead l.Level.ckpt;
+      add ")r(";
+      overhead l.Level.restart;
+      Buffer.add_char buf ')')
+    p.Optimizer.levels;
+  add "|rates=";
+  Array.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_char buf ',';
+      num r)
+    p.Optimizer.spec.Failure_spec.rates_per_day;
+  add "|speedup=";
+  (match p.Optimizer.speedup.Speedup.form with
+  | Speedup.Linear { kappa } ->
+      add "linear,kappa=";
+      num kappa
+  | Speedup.Quadratic { kappa; n_star } ->
+      add "quadratic,kappa=";
+      num kappa;
+      add ",n_star=";
+      num n_star
+  | Speedup.Amdahl { serial_fraction; peak } ->
+      add "amdahl,s=";
+      num serial_fraction;
+      add ",peak=";
+      num peak
+  | Speedup.Gustafson { serial_fraction; peak } ->
+      add "gustafson,s=";
+      num serial_fraction;
+      add ",peak=";
+      num peak
+  | Speedup.Custom ->
+      invalid_arg "Fingerprint.canonical: custom speedups have no canonical form");
+  add "|te=";
+  num p.Optimizer.te;
+  Buffer.contents buf
 
 let hash_init = 0xcbf29ce484222325L
 
+(* A plain loop over a local accumulator: the compiler keeps it unboxed,
+   where [String.iter] with a closure over an [Int64 ref] boxed on every
+   byte. *)
 let hash_fold h s =
   let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
+  for i = 0 to String.length s - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h c) 0x100000001b3L
+  done;
   !h
 
 let hex_digits = "0123456789abcdef"

@@ -28,7 +28,11 @@ val float_repr : precision:int -> float -> string
 
 val canonical : ?precision:int -> Ckpt_model.Optimizer.problem -> string
 (** The canonical text form that gets hashed; exposed for tests and
-    debugging.  Custom speedups ([Speedup.Custom]) cannot be
+    debugging.  It is rendered into one buffer through the C formatter
+    behind [Printf], byte for byte the text the earlier [Printf] /
+    [String.concat] rendering produced (tested against it), so keys —
+    and the cache entries and snapshots keyed by them — are
+    unchanged.  Custom speedups ([Speedup.Custom]) cannot be
     canonicalized and raise [Invalid_argument].  Custom overhead
     baselines are identified by their [h_name] — two distinct custom
     baseline functions sharing a name would collide, so service inputs

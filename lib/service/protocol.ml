@@ -34,7 +34,11 @@ type request =
     }
   | Stats
 
-type envelope = { id : Json.t option; request : (request, error) result }
+type envelope = {
+  id : Json.t option;
+  op : string option;
+  request : (request, error) result;
+}
 
 let solution_of_string = function
   | "ml-opt" -> Ok Ml_opt
@@ -60,6 +64,22 @@ let sweep_param_to_string = function Scale -> "scale" | Te -> "te" | Alloc -> "a
 let ( let* ) = Result.bind
 
 let default_delta = 1e-9
+
+let scale_in_range (speedup : Speedup.t) n =
+  n > 0.
+  &&
+  let g = Speedup.eval speedup n in
+  Float.is_finite g && g > 0.
+
+(* A pinned scale where g(N) is not finite and positive has no
+   productive time f(T_e, N) = T_e / g(N): refuse it at the boundary
+   instead of letting the solver trip over it.  [n] is positive. *)
+let check_scale ~what (problem : Optimizer.problem) n =
+  if scale_in_range problem.Optimizer.speedup n then Ok ()
+  else
+    err "invalid-request" "%s %.12g is outside the speedup's positive range (g(N) = %g)"
+      what n
+      (Speedup.eval problem.Optimizer.speedup n)
 
 let parse_query json =
   let* problem =
@@ -90,7 +110,8 @@ let parse_query json =
   let* () =
     match fixed_n with
     | Some n when n <= 0. -> err "invalid-request" "fixed_n must be positive"
-    | _ -> Ok ()
+    | Some n -> check_scale ~what:"fixed_n" problem n
+    | None -> Ok ()
   in
   let delta = Option.value (Json.float_field "delta" json) ~default:default_delta in
   let* () =
@@ -120,6 +141,16 @@ let parse_batch_plan json =
   let* () =
     if delta > 0. then Ok () else err "invalid-request" "delta must be positive"
   in
+  (* The shared fixed_n is checked against each problem's own speedup,
+     after that problem decodes and validates. *)
+  let scale_ok i p =
+    match fixed_n with
+    | None -> Ok ()
+    | Some n -> (
+        match check_scale ~what:"fixed_n" p n with
+        | Ok () -> Ok ()
+        | Error e -> err e.code "problems[%d]: %s" i e.message)
+  in
   let* items =
     match Json.list_field "problems" json with
     | None ->
@@ -134,6 +165,7 @@ let parse_batch_plan json =
         | Ok p -> (
             match Optimizer.check_problem p with
             | () ->
+                let* () = scale_ok i p in
                 decode ({ problem = p; solution; fixed_n; delta } :: acc) (i + 1) rest
             | exception Invalid_argument m -> err "invalid-problem" "problems[%d]: %s" i m)
         | Error m -> err "invalid-problem" "problems[%d]: %s" i m
@@ -158,6 +190,15 @@ let parse_sweep json =
   let* () =
     if Array.for_all (fun v -> v > 0. && Float.is_finite v) values then Ok ()
     else err "invalid-request" "sweep values must be positive and finite"
+  in
+  let* () =
+    match param with
+    | Scale -> (
+        let speedup = base.problem.Optimizer.speedup in
+        match Array.find_opt (fun v -> not (scale_in_range speedup v)) values with
+        | Some v -> check_scale ~what:"sweep value" base.problem v
+        | None -> Ok ())
+    | Te | Alloc -> Ok ()
   in
   Ok (Sweep { base; param; values })
 
@@ -246,11 +287,12 @@ let parse_calibrate json =
 
 let parse_request line =
   match Json.parse_result line with
-  | Error m -> { id = None; request = Error (error_v "parse" m) }
+  | Error m -> { id = None; op = None; request = Error (error_v "parse" m) }
   | Ok json ->
       let id = Json.member "id" json in
+      let op = Json.string_field "op" json in
       let request =
-        match Json.string_field "op" json with
+        match op with
         | None -> err "invalid-request" "missing field \"op\""
         | Some "plan" ->
             let* q = parse_query json in
@@ -265,7 +307,7 @@ let parse_request line =
         | Some "stats" -> Ok Stats
         | Some op -> err "invalid-request" "unknown op %S" op
       in
-      { id; request }
+      { id; op; request }
 
 let sweep_point base param v =
   match param with

@@ -108,12 +108,29 @@ type request =
           the Young/Daly/ML side-by-side. *)
   | Stats
 
-type envelope = { id : Ckpt_json.Json.t option; request : (request, error) result }
+type envelope = {
+  id : Ckpt_json.Json.t option;
+  op : string option;
+  request : (request, error) result;
+}
 (** The [id] survives even when the request itself is rejected, so error
-    responses can still be correlated by the client. *)
+    responses can still be correlated by the client.  [op] is the line's
+    ["op"] string exactly as [Json.string_field "op"] reads it from the
+    parsed line — [None] for a line that is not JSON, not an object, or
+    whose ["op"] is missing or not a string — whether or not the op is
+    known or the request valid.  The server routes on it (in-band
+    [shutdown], per-op counters) without parsing the line a second
+    time. *)
 
 val default_delta : float
 (** Outer-loop threshold applied when a request omits ["delta"] (1e-9). *)
+
+val scale_in_range : Ckpt_model.Speedup.t -> float -> bool
+(** Whether [n] may be pinned as the scale: [n > 0] and the speedup
+    [g(n)] is finite and positive.  [parse_request] refuses any other
+    ["fixed_n"] (per problem in a [batch-plan]) and [scale] sweep value
+    as ["invalid-request"], naming the value: past a quadratic's zero
+    (N >= 2 n_star) the productive time [T_e / g(N)] is undefined. *)
 
 val solution_of_string : string -> (solution, error) result
 val solution_to_string : solution -> string

@@ -326,32 +326,38 @@ let handle_calibrate t ~query ~log ~prior_strength ~compare =
 (* Chaos line site: corrupt or truncate raw request lines before the
    parser sees them — the parse/validate boundary must answer every
    mangled line with a structured error, never an exception. *)
-let mangle_lines t lines =
+let mangle_line t line =
   match t.chaos with
-  | None -> lines
+  | None -> None
   | Some chaos ->
-      List.map
-        (fun line ->
-          let index = t.line_seq in
-          t.line_seq <- index + 1;
-          match Chaos.mangle_line chaos ~index line with
-          | None -> line
-          | Some mangled -> mangled)
-        lines
+      let index = t.line_seq in
+      t.line_seq <- index + 1;
+      Chaos.mangle_line chaos ~index line
+
+(* Each line with the envelope it is answered from: the caller's
+   pre-parsed one, unless chaos mangled the line — a mangled line is
+   parsed afresh, exactly as if it had arrived that way. *)
+let parse_lines t items =
+  List.map
+    (fun (line, envelope) ->
+      match (mangle_line t line, envelope) with
+      | Some mangled, _ -> (mangled, Wire.parse_request mangled)
+      | None, Some envelope -> (line, envelope)
+      | None, None -> (line, Wire.parse_request line))
+    items
 
 (* The shared pipeline behind {handle_batch} and {handle_batch_lines}:
    parse/validate, flat solver fan-out, simulation fan-out.  Rendering
    is the caller's choice — JSON trees or streamed strings. *)
-let run_batch t lines =
+let run_batch t items =
   if not t.live then invalid_arg "Service.handle_batch: service is shut down";
-  let lines = mangle_lines t lines in
-  (* Parse + validate every line, laying queries out flat. *)
+  let items = parse_lines t items in
+  (* Lay every line's queries out flat. *)
   let offset = ref 0 in
   let jobs =
     List.map
-      (fun line ->
+      (fun (line, envelope) ->
         Metrics.incr_requests t.metrics;
-        let envelope = Wire.parse_request line in
         let span =
           match envelope.Protocol.request with
           | Ok request -> Array.length (queries_of_request request)
@@ -360,7 +366,7 @@ let run_batch t lines =
         let job = { envelope; line; offset = !offset; span } in
         offset := !offset + span;
         job)
-      lines
+      items
   in
   let queries = Array.make !offset None in
   List.iter
@@ -500,9 +506,11 @@ let respond t ~outcomes ~sim_by_slot job =
                   Protocol.error_response ?id e
               | None -> assert false)))
 
+let unparsed lines = List.map (fun line -> (line, None)) lines
+
 let handle_batch t lines =
   let t0 = Metrics.now_ms () in
-  let jobs, outcomes, sim_by_slot = run_batch t lines in
+  let jobs, outcomes, sim_by_slot = run_batch t (unparsed lines) in
   let responses = List.map (respond t ~outcomes ~sim_by_slot) jobs in
   Metrics.record_batch_ms t.metrics (Metrics.now_ms () -. t0);
   responses
@@ -512,9 +520,9 @@ let handle_batch t lines =
    built for them — and everything else goes through {!respond} +
    [Json.to_string].  Output strings are byte-identical to
    [List.map Json.to_string (handle_batch t lines)]. *)
-let handle_batch_lines t lines =
+let render_lines t items =
   let t0 = Metrics.now_ms () in
-  let jobs, outcomes, sim_by_slot = run_batch t lines in
+  let jobs, outcomes, sim_by_slot = run_batch t items in
   let buf = Buffer.create 4096 in
   let finish () =
     let s = Buffer.contents buf in
@@ -547,11 +555,15 @@ let handle_batch_lines t lines =
   Metrics.record_batch_ms t.metrics (Metrics.now_ms () -. t0);
   responses
 
+let handle_batch_lines t lines = render_lines t (unparsed lines)
+
 let handle_line t line =
   match handle_batch t [ line ] with [ r ] -> r | _ -> assert false
 
-let handle_line_string t line =
-  match handle_batch_lines t [ line ] with [ r ] -> r | _ -> assert false
+let handle_parsed_line t envelope line =
+  match render_lines t [ (line, Some envelope) ] with [ r ] -> r | _ -> assert false
+
+let handle_line_string t line = handle_parsed_line t (Wire.parse_request line) line
 
 let shutdown t =
   if t.live then begin

@@ -98,8 +98,18 @@ val handle_batch_lines : t -> string list -> string list
     [List.map (Ckpt_json.Json.to_string ?pretty:None) (handle_batch t lines)];
     servers that write lines out verbatim should prefer this. *)
 
+val handle_parsed_line : t -> Protocol.envelope -> string -> string
+(** [handle_parsed_line t envelope line] answers [line] like
+    {!handle_line_string}, from [envelope] — which must be
+    [Wire.parse_request line] — instead of parsing the line again.  A
+    line that chaos mangles is parsed afresh and answered from its own
+    envelope.  The server parses each line once, outside its
+    coordinator lock, routes on the envelope's [id] and [op], and hands
+    both here. *)
+
 val handle_line_string : t -> string -> string
-(** Single-request convenience over {!handle_batch_lines}. *)
+(** Single-request convenience over {!handle_batch_lines}:
+    [handle_parsed_line t (Wire.parse_request line) line]. *)
 
 val stats_json : t -> Ckpt_json.Json.t
 (** The current {!Metrics.to_json} payload (also served by the

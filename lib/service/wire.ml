@@ -79,19 +79,20 @@ let scan_string sc =
 let is_number_char c =
   (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
 
-(* Same span, same [float_of_string] as the tree parser's number lexer:
-   bit-identical floats by construction. *)
+(* Same start, same span, same [float_of_string] as the tree parser's
+   number lexer: bit-identical floats by construction.  Like the tree,
+   a number must start with '-' or a digit — [float_of_string] alone
+   would also take "+5" and ".5", which the tree rejects as not JSON. *)
 let scan_number sc =
   skip_ws sc;
   let start = sc.pos in
+  (match peek sc with '-' | '0' .. '9' -> () | _ -> raise Slow);
   while sc.pos < len sc && is_number_char (String.unsafe_get sc.s sc.pos) do
     sc.pos <- sc.pos + 1
   done;
-  if sc.pos = start then raise Slow
-  else
-    match float_of_string_opt (String.sub sc.s start (sc.pos - start)) with
-    | Some f -> f
-    | None -> raise Slow
+  match float_of_string_opt (String.sub sc.s start (sc.pos - start)) with
+  | Some f -> f
+  | None -> raise Slow
 
 (* Field keys are matched in place — no substring per key. *)
 let scan_key sc =
@@ -403,7 +404,15 @@ let scan_request sc =
   Option.iter positive !fixed_n;
   let delta = Option.value !delta ~default:Protocol.default_delta in
   positive delta;
-  let query problem = { Protocol.problem; solution; fixed_n = !fixed_n; delta } in
+  (* Scales outside the speedup's positive range are the tree's to
+     refuse, with its message. *)
+  let in_range problem n =
+    if not (Protocol.scale_in_range problem.Optimizer.speedup n) then raise Slow
+  in
+  let query problem =
+    Option.iter (in_range problem) !fixed_n;
+    { Protocol.problem; solution; fixed_n = !fixed_n; delta }
+  in
   let request =
     match required !op with
     | "plan" ->
@@ -426,10 +435,12 @@ let scan_request sc =
         let values = required !values in
         if Array.length values = 0 then raise Slow;
         Array.iter (fun v -> if not (v > 0. && Float.is_finite v) then raise Slow) values;
-        Protocol.Sweep { base = query (required !problem); param; values }
+        let base = query (required !problem) in
+        if param = Protocol.Scale then Array.iter (in_range base.Protocol.problem) values;
+        Protocol.Sweep { base; param; values }
     | _ -> raise Slow
   in
-  { Protocol.id = !id; request = Ok request }
+  { Protocol.id = !id; op = !op; request = Ok request }
 
 let parse_request line =
   match scan_request { s = line; pos = 0 } with

@@ -123,6 +123,98 @@ let test_add_json_compact () =
   Alcotest.(check string) "escaped string" (str (Json.String "a\001b\\"))
     (via_buffer Json.add_escaped "a\001b\\")
 
+(* ---------------- the Printf oracle ---------------- *)
+
+(* The number printer as it was written with [Printf], kept as the
+   oracle the C-formatter version must match byte for byte. *)
+let oracle_number_to_string f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else begin
+    let s = Printf.sprintf "%.17g" f in
+    let shorter = Printf.sprintf "%.12g" f in
+    if float_of_string shorter = f then shorter else s
+  end
+
+let rec oracle_add_digits buf i =
+  if i >= 10 then oracle_add_digits buf (i / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (i mod 10)))
+
+(* [add_number] as it was written, rendered to a string; [number] is
+   [oracle_number_to_string f], computed once per draw. *)
+let oracle_add_number ~number f =
+  if Float.is_integer f && Float.abs f < 1e15 then
+    if f = 0. then if 1. /. f < 0. then "-0" else "0"
+    else begin
+      let buf = Buffer.create 24 in
+      if f < 0. then Buffer.add_char buf '-';
+      oracle_add_digits buf (int_of_float (Float.abs f));
+      Buffer.contents buf
+    end
+  else number
+
+(* Draws: random 64-bit patterns (NaNs, infinities and about 1 in 2048
+   subnormals among them), random subnormal mantissas, and decimals of
+   1-15 significant digits at exponents -300..300 with their +-1 and
+   +-2 ulp neighbours — the values whose [%.17g] digit tails sit at
+   and next to 00000 / 99999, where the [%.12g] test must still run. *)
+let oracle_draws = 1_000_000
+
+let number_draws () =
+  let rng = Random.State.make [| 2014 |] in
+  let specials =
+    [ 0.; -0.; Float.max_float; -.Float.max_float; Float.min_float; -.Float.min_float;
+      Int64.float_of_bits 1L; Int64.float_of_bits 0x000f_ffff_ffff_ffffL; 1e15; -1e15;
+      1e16; 0.1; 0.2; 0.3; 1. /. 3.; Float.epsilon; Float.nan; Float.infinity;
+      Float.neg_infinity ]
+  in
+  let bits = List.init 400_000 (fun _ -> Int64.float_of_bits (Random.State.bits64 rng)) in
+  let subnormals =
+    List.init 50_000 (fun _ ->
+        let m = Int64.logand (Random.State.bits64 rng) 0x800f_ffff_ffff_ffffL in
+        Int64.float_of_bits m)
+  in
+  let decimals =
+    List.concat
+      (List.init 110_000 (fun _ ->
+           let digits = 1 + Random.State.int rng 15 in
+           let mantissa =
+             String.init digits (fun i ->
+                 if i = 0 then Char.chr (Char.code '1' + Random.State.int rng 9)
+                 else Char.chr (Char.code '0' + Random.State.int rng 10))
+           in
+           let exponent = Random.State.int rng 601 - 300 in
+           let sign = if Random.State.bool rng then "-" else "" in
+           let d = float_of_string (Printf.sprintf "%s%se%d" sign mantissa exponent) in
+           [ d; Float.succ d; Float.pred d; Float.succ (Float.succ d);
+             Float.pred (Float.pred d) ]))
+  in
+  specials @ bits @ subnormals @ decimals
+
+let test_number_oracle () =
+  let draws = number_draws () in
+  Alcotest.(check bool) "at least 10^6 draws" true (List.length draws >= oracle_draws);
+  let mismatches = ref 0 and first = ref None in
+  let buf = Buffer.create 32 in
+  List.iter
+    (fun f ->
+      Buffer.clear buf;
+      Json.add_number buf f;
+      let expected = oracle_number_to_string f in
+      if
+        str (Json.Number f) <> expected
+        || Buffer.contents buf <> oracle_add_number ~number:expected f
+      then begin
+        incr mismatches;
+        if !first = None then first := Some f
+      end)
+    draws;
+  match !first with
+  | None -> ()
+  | Some f ->
+      Alcotest.failf "%d of %d draws differ from the Printf oracle, first %h (%s vs %s)"
+        !mismatches (List.length draws) f (str (Json.Number f)) (oracle_number_to_string f)
+
 (* ---------------- accessors ---------------- *)
 
 let test_accessors () =
@@ -208,6 +300,7 @@ let () =
           Alcotest.test_case "numbers" `Quick test_print_numbers ] );
       ( "writers",
         [ Alcotest.test_case "add_number" `Quick test_add_number;
+          Alcotest.test_case "Printf oracle" `Quick test_number_oracle;
           Alcotest.test_case "add_json compact" `Quick test_add_json_compact ] );
       ( "accessors",
         [ Alcotest.test_case "fields" `Quick test_accessors;

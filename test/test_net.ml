@@ -434,6 +434,36 @@ let test_op_counts () =
   Alcotest.(check (option int)) "shutdown counted" (Some 1)
     (List.assoc_opt "shutdown" (Server.op_counts server))
 
+let test_mangled_lines_reparsed () =
+  (* The server parses each line once and hands the envelope to the
+     service, which must not answer a line its chaos mangled from that
+     envelope: a twin service with the same line-mangling chaos, fed the
+     same raw lines directly, answers byte for byte the same. *)
+  let spec =
+    { Chaos.disabled with Chaos.seed = 77; line_corrupt = 0.25; line_truncate = 0.25 }
+  in
+  let stream =
+    List.concat
+      (List.init 8 (fun i ->
+           [ plan_line i; sweep_line i; observe_line i; estimate_line i; replan_line i;
+             "not json at all" ]))
+  in
+  let twin_chaos = Chaos.create spec in
+  with_service ~chaos:twin_chaos @@ fun twin ->
+  (* The twin parses each line only after its chaos had its turn. *)
+  let expected = List.map (fun l -> Json.to_string (Service.handle_line twin l)) stream in
+  with_server ~chaos:(Chaos.create spec) @@ fun _service server ->
+  with_client server @@ fun c ->
+  let got = List.map (fun l -> send c l; recv_exn c "mangled") stream in
+  Alcotest.(check (list string)) "byte-identical to the twin service" expected got;
+  let mangled =
+    List.length (List.filter (fun r -> r.Chaos.site = Chaos.Line) (Chaos.records twin_chaos))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "lines were mangled (%d of %d)" mangled (List.length stream))
+    true
+    (mangled > 0 && mangled < List.length stream)
+
 let test_loopback_blank_and_oversized_lines () =
   let config = { Server.default_config with Server.max_line_bytes = 2048 } in
   with_server ~config @@ fun _service server ->
@@ -772,6 +802,7 @@ let () =
         [ Alcotest.test_case "loopback-byte-identical" `Quick
             test_loopback_byte_identical_to_stdin_path;
           Alcotest.test_case "op-counts" `Quick test_op_counts;
+          Alcotest.test_case "mangled-lines-reparsed" `Quick test_mangled_lines_reparsed;
           Alcotest.test_case "blank-and-oversized" `Quick
             test_loopback_blank_and_oversized_lines;
           Alcotest.test_case "overloaded" `Quick test_overloaded_rejection;

@@ -88,6 +88,129 @@ let qcheck_fingerprint_problem_noise =
       Fingerprint.of_problem noisy = Fingerprint.of_problem base_problem
       && Fingerprint.of_problem coarse <> Fingerprint.of_problem base_problem)
 
+(* The canonical form and key as they were written with [Printf] and
+   [String.concat], kept as the oracle the buffer version must match
+   byte for byte: cached entries and snapshots are keyed by them. *)
+module Printf_fingerprint = struct
+  let float_repr ~precision x =
+    if x = 0. then "0"
+    else if Float.is_nan x then "nan"
+    else if x = infinity then "inf"
+    else if x = neg_infinity then "-inf"
+    else Printf.sprintf "%.*e" (precision - 1) x
+
+  let speedup_repr ~f (s : Speedup.t) =
+    match s.Speedup.form with
+    | Speedup.Linear { kappa } -> Printf.sprintf "linear,kappa=%s" (f kappa)
+    | Speedup.Quadratic { kappa; n_star } ->
+        Printf.sprintf "quadratic,kappa=%s,n_star=%s" (f kappa) (f n_star)
+    | Speedup.Amdahl { serial_fraction; peak } ->
+        Printf.sprintf "amdahl,s=%s,peak=%s" (f serial_fraction) (f peak)
+    | Speedup.Gustafson { serial_fraction; peak } ->
+        Printf.sprintf "gustafson,s=%s,peak=%s" (f serial_fraction) (f peak)
+    | Speedup.Custom -> assert false
+
+  let overhead_repr ~f (o : Overhead.t) =
+    Printf.sprintf "eps=%s,alpha=%s,h=%s" (f o.Overhead.eps) (f o.Overhead.alpha)
+      o.Overhead.h_name
+
+  let canonical ~precision (p : Optimizer.problem) =
+    let f = float_repr ~precision in
+    let levels =
+      p.Optimizer.levels
+      |> Array.map (fun (l : Level.t) ->
+             Printf.sprintf "c(%s)r(%s)" (overhead_repr ~f l.Level.ckpt)
+               (overhead_repr ~f l.Level.restart))
+      |> Array.to_list |> String.concat ";"
+    in
+    let rates =
+      p.Optimizer.spec.Failure_spec.rates_per_day |> Array.map f |> Array.to_list
+      |> String.concat ","
+    in
+    Printf.sprintf "v1|alloc=%s|baseline=%s|levels=%s|rates=%s|speedup=%s|te=%s"
+      (f p.Optimizer.alloc)
+      (f p.Optimizer.spec.Failure_spec.baseline_scale)
+      levels rates
+      (speedup_repr ~f p.Optimizer.speedup)
+      (f p.Optimizer.te)
+
+  let of_problem ~precision p =
+    let h = ref 0xcbf29ce484222325L in
+    String.iter
+      (fun c ->
+        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+      (canonical ~precision p);
+    Printf.sprintf "%016Lx" !h
+end
+
+(* Random problems over every wire-encodable speedup form and both
+   overhead baselines ("0" and "N"), with floats from clean decimals,
+   log-uniform magnitudes and — where no constructor checks them —
+   arbitrary bit patterns (zeros, subnormals, NaN, infinities). *)
+let random_problem rng =
+  let int n = Random.State.int rng n in
+  let log_uniform lo hi =
+    exp (log lo +. Random.State.float rng (log hi -. log lo))
+  in
+  let magnitude () =
+    match int 3 with
+    | 0 -> float_of_string (Printf.sprintf "%de%d" (1 + int 999) (int 13 - 6))
+    | 1 -> log_uniform 1e-12 1e12
+    | _ -> log_uniform 1e-300 1e300
+  in
+  let any_float () =
+    if int 4 = 0 then Int64.float_of_bits (Random.State.bits64 rng)
+    else if Random.State.bool rng then magnitude ()
+    else -.magnitude ()
+  in
+  let fraction () = if int 4 = 0 then 0. else Random.State.float rng 0.999 in
+  let overhead () =
+    if Random.State.bool rng then Overhead.constant (magnitude ())
+    else
+      Overhead.linear ~eps:(magnitude ())
+        ~alpha:(if Random.State.bool rng then magnitude () else -.magnitude ())
+  in
+  let k = 1 + int 5 in
+  let speedup =
+    match int 4 with
+    | 0 -> Speedup.linear ~kappa:(magnitude ())
+    | 1 -> Speedup.quadratic ~kappa:(magnitude ()) ~n_star:(magnitude ())
+    | 2 -> Speedup.amdahl ~serial_fraction:(fraction ()) ~peak:(magnitude ())
+    | _ -> Speedup.gustafson ~serial_fraction:(fraction ()) ~peak:(magnitude ())
+  in
+  { Optimizer.te = any_float ();
+    speedup;
+    levels = Array.init k (fun _ -> Level.v ~restart:(overhead ()) (overhead ()));
+    alloc = any_float ();
+    spec =
+      Failure_spec.v ~baseline_scale:(magnitude ())
+        (Array.init k (fun _ -> if int 8 = 0 then 0. else magnitude ())) }
+
+let test_fingerprint_printf_oracle () =
+  let rng = Random.State.make [| 18 |] in
+  let draws = 6_800 in
+  for i = 0 to draws - 1 do
+    let p = random_problem rng in
+    let precision = 1 + (i mod 17) in
+    let expected = Printf_fingerprint.canonical ~precision p in
+    let got = Fingerprint.canonical ~precision p in
+    if got <> expected then
+      Alcotest.failf "canonical differs at precision %d:\n%s\nvs the Printf oracle\n%s"
+        precision got expected;
+    Alcotest.(check string)
+      "of_problem equals the Printf oracle"
+      (Printf_fingerprint.of_problem ~precision p)
+      (Fingerprint.of_problem ~precision p)
+  done;
+  Alcotest.check_raises "custom speedups still refused"
+    (Invalid_argument "Fingerprint.canonical: custom speedups have no canonical form")
+    (fun () ->
+      ignore
+        (Fingerprint.canonical
+           { base_problem with
+             Optimizer.speedup =
+               Speedup.custom ~name:"c" ~law:(Scale_fn.linear ~slope:1. ()) ~n_ideal:None }))
+
 (* ---------------- LRU cache ---------------- *)
 
 let test_lru_eviction () =
@@ -228,7 +351,7 @@ let test_protocol_parse_plan () =
       (problem_json base_problem)
   in
   match Protocol.parse_request line with
-  | { Protocol.id = Some (Json.Number 7.); request = Ok (Protocol.Plan q) } ->
+  | { Protocol.id = Some (Json.Number 7.); request = Ok (Protocol.Plan q); _ } ->
       Alcotest.(check string) "solution" "sl-opt" (Protocol.solution_to_string q.Protocol.solution);
       Alcotest.(check (float 1e-9)) "te round-trips" base_problem.Optimizer.te
         q.Protocol.problem.Optimizer.te
@@ -253,6 +376,49 @@ let test_protocol_errors () =
     (Printf.sprintf {|{"op": "sweep", "param": "scale", "values": [1, -2], "problem": %s}|}
        (problem_json base_problem))
     "invalid-request"
+
+(* A pinned scale past the speedup's zero (N >= 2 n_star for the
+   quadratic law) has no productive time: the fig5 problem (n_star 1e6)
+   refuses it at the boundary as invalid-request, naming the value,
+   instead of tripping an assertion in the solver. *)
+let test_protocol_scale_range () =
+  let fig5 = mk_problem ~te_days:3e6 ~n_star:1e6 () in
+  let pj = problem_json fig5 in
+  let linear =
+    problem_json { fig5 with Optimizer.speedup = Speedup.linear ~kappa:0.46 }
+  in
+  let service = Service.create ~workers:0 () in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let refused line needle =
+    match Protocol.response_error (Service.handle_line service line) with
+    | Some e ->
+        Alcotest.(check string) ("code for " ^ needle) "invalid-request" e.Protocol.code;
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names %s" e.Protocol.message needle)
+          true
+          (let n = String.length needle and m = e.Protocol.message in
+           let rec has i =
+             i + n <= String.length m && (String.sub m i n = needle || has (i + 1))
+           in
+           has 0)
+    | None -> Alcotest.failf "expected an invalid-request for %s" needle
+  in
+  refused (Printf.sprintf {|{"op":"plan","fixed_n":3e6,"problem":%s}|} pj) "fixed_n 3000000";
+  refused (Printf.sprintf {|{"op":"plan","fixed_n":2e6,"problem":%s}|} pj) "fixed_n 2000000";
+  refused
+    (Printf.sprintf {|{"op":"sweep","param":"scale","values":[1e6,2.5e6],"problem":%s}|} pj)
+    "sweep value 2500000";
+  refused
+    (Printf.sprintf {|{"op":"batch-plan","fixed_n":2e6,"problems":[%s,%s]}|} linear pj)
+    "problems[1]: fixed_n 2000000";
+  (* Inside the range the request is served as before: at 1.9e6 the
+     multilevel solve gives up and the fallback chain answers. *)
+  let inside =
+    Service.handle_line service
+      (Printf.sprintf {|{"op":"plan","fixed_n":1.9e6,"problem":%s}|} pj)
+  in
+  Alcotest.(check bool) "1.9e6 answered" true (Protocol.response_ok inside);
+  Alcotest.(check bool) "1.9e6 degraded" true (Protocol.response_degraded inside)
 
 (* Satellite: a spec/hierarchy level-count mismatch must come back as a
    structured invalid-problem response, not an exception. *)
@@ -505,6 +671,7 @@ let wire_request_eq a b =
 
 let wire_envelope_eq (a : Protocol.envelope) (b : Protocol.envelope) =
   a.Protocol.id = b.Protocol.id
+  && a.Protocol.op = b.Protocol.op
   &&
   match (a.Protocol.request, b.Protocol.request) with
   | Ok ra, Ok rb -> wire_request_eq ra rb
@@ -532,7 +699,18 @@ let test_wire_parse_equivalence () =
       Printf.sprintf {|{"op":"plan","problem":%s,"problem":%s}|} pj pj;
       Printf.sprintf {|{"op":"sweep","param":"scale","values":[],"problem":%s}|} pj;
       Printf.sprintf {|{"op":"batch-plan","problems":[]}|};
+      (* Numbers the tree rejects as not JSON; float_of_string alone
+         would take them. *)
+      Printf.sprintf {|{"op":"plan","fixed_n":+5,"problem":%s}|} pj;
+      Printf.sprintf {|{"id":.5,"op":"plan","problem":%s}|} pj;
+      (* Scales outside the speedup's positive range (n_star 1e5). *)
+      Printf.sprintf {|{"op":"plan","fixed_n":2e5,"problem":%s}|} pj;
+      Printf.sprintf {|{"op":"batch-plan","fixed_n":3e5,"problems":[%s]}|} pj;
+      Printf.sprintf {|{"op":"sweep","param":"scale","values":[1e4,2.5e5],"problem":%s}|} pj;
+      Printf.sprintf {|{"op":"sweep","param":"te","fixed_n":1e999,"values":[8.64e8],"problem":%s}|} pj;
       {|{"op":"stats"}|};
+      {|{"id":1,"op":7}|};
+      {|[{"op":"plan"}]|};
       {|{"op":"plan"}|};
       "not json at all";
       "" ]
@@ -677,6 +855,74 @@ let qcheck_fuzz_wire_garbage =
     (fun line ->
       wire_envelope_eq (Wire.parse_request line) (Protocol.parse_request line))
 
+(* Pinned scales on both sides of the quadratic speedup's zero
+   (2 n_star = 2e5 here): the scanner must bail exactly where the tree
+   refuses, for plan, batch-plan and scale sweeps. *)
+let qcheck_wire_scale_range =
+  let open QCheck in
+  let pj = problem_json base_problem in
+  let lin =
+    problem_json { base_problem with Optimizer.speedup = Speedup.linear ~kappa:0.46 }
+  in
+  let gen =
+    Gen.(
+      pair (int_range 0 2)
+        (map (fun u -> float_of_string (Printf.sprintf "%.6g" (5e4 +. (u *. 2.5e5))))
+           (float_bound_inclusive 1.)))
+  in
+  Test.make ~name:"wire parse tree-equal around the speedup's zero" ~count:200
+    (make ~print:Print.(pair int float) gen) (fun (shape, n) ->
+      let line =
+        match shape with
+        | 0 -> Printf.sprintf {|{"op":"plan","fixed_n":%.17g,"problem":%s}|} n pj
+        | 1 ->
+            Printf.sprintf {|{"op":"batch-plan","fixed_n":%.17g,"problems":[%s,%s]}|} n lin
+              pj
+        | _ ->
+            Printf.sprintf {|{"op":"sweep","param":"scale","values":[1e4,%.17g],"problem":%s}|}
+              n pj
+      in
+      let tree = Protocol.parse_request line in
+      wire_envelope_eq (Wire.parse_request line) tree
+      && Result.is_ok tree.Protocol.request = (n < 2e5))
+
+(* The envelope's (id, op) is what the server routes on: it must equal
+   what a full [Json.parse] of the line reads — the server's routing
+   before the envelope carried [op] — on every kind of line the fuzzers
+   produce, through both parsers. *)
+let qcheck_envelope_id_op =
+  let open QCheck in
+  let pj = problem_json base_problem in
+  let valid =
+    Printf.sprintf {|{"id":3,"op":"batch-plan","fixed_n":2e4,"problems":[%s,%s]}|} pj pj
+  in
+  let shaped =
+    [ valid;
+      Printf.sprintf {|{"id":"a","op":"plan","problem":%s}|} pj;
+      Printf.sprintf {|{"op":"plan","op":"sweep","id":1,"id":2,"problem":%s}|} pj;
+      Printf.sprintf {|{"id":[1,{"k":null}],"op":"plan","problem":%s,"problem":%s}|} pj pj;
+      {|{"op":"shutdown","id":9}|}; {|{"op":"stats","id":true}|}; {|{"op":null}|};
+      {|{"op":"warp"}|}; {|{"id":"x"}|}; {|[1,2]|}; {|"plan"|}; "5"; "null"; "{}";
+      {|{"op":"plan","fixed_n":+5}|} ]
+  in
+  let gen =
+    Gen.(
+      oneof
+        [ string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 200);
+          map (fun len -> String.sub valid 0 len) (int_range 0 (String.length valid));
+          oneofl shaped ])
+  in
+  Test.make ~name:"envelope (id, op) equals Json.parse's on fuzz lines" ~count:1000
+    (make ~print:(Printf.sprintf "%S") gen) (fun line ->
+      let expected =
+        match Json.parse line with
+        | json -> (Json.member "id" json, Json.string_field "op" json)
+        | exception Json.Parse_error _ -> (None, None)
+      in
+      let id_op (e : Protocol.envelope) = (e.Protocol.id, e.Protocol.op) in
+      id_op (Wire.parse_request line) = expected
+      && id_op (Protocol.parse_request line) = expected)
+
 (* The string renderer survives the same byte storm as the tree one. *)
 let fuzz_service_lines = lazy (Service.create ~workers:0 ())
 
@@ -715,7 +961,9 @@ let qcheck_tests =
     qcheck_sharded_capacity_bound;
     qcheck_parallel_bit_identical; qcheck_service_parallel_equals_sequential;
     qcheck_fuzz_arbitrary_lines; qcheck_fuzz_truncated_requests;
-    qcheck_fuzz_wire_truncated; qcheck_fuzz_wire_garbage; qcheck_fuzz_line_strings;
+    qcheck_fuzz_wire_truncated; qcheck_fuzz_wire_garbage; qcheck_wire_scale_range;
+    qcheck_envelope_id_op;
+    qcheck_fuzz_line_strings;
     qcheck_fuzz_nested_json ]
 
 let () =
@@ -723,7 +971,8 @@ let () =
     [ ("fingerprint",
        [ Alcotest.test_case "deterministic" `Quick test_fingerprint_deterministic;
          Alcotest.test_case "distinguishes" `Quick test_fingerprint_distinguishes;
-         Alcotest.test_case "ignores names" `Quick test_fingerprint_ignores_names ]);
+         Alcotest.test_case "ignores names" `Quick test_fingerprint_ignores_names;
+         Alcotest.test_case "Printf oracle" `Quick test_fingerprint_printf_oracle ]);
       ("lru",
        [ Alcotest.test_case "eviction at capacity" `Quick test_lru_eviction;
          Alcotest.test_case "recency refresh" `Quick test_lru_recency_refresh;
@@ -739,6 +988,7 @@ let () =
        [ Alcotest.test_case "parse plan" `Quick test_protocol_parse_plan;
          Alcotest.test_case "error codes" `Quick test_protocol_errors;
          Alcotest.test_case "level-count mismatch" `Quick test_protocol_level_count_mismatch;
+         Alcotest.test_case "fixed_n past the speedup's range" `Quick test_protocol_scale_range;
          Alcotest.test_case "check_problem raises" `Quick test_check_problem_direct ]);
       ("wire",
        [ Alcotest.test_case "parse equivalence" `Quick test_wire_parse_equivalence;

@@ -200,7 +200,7 @@ let solve_reference ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9)
 (* The production solver: Algorithm 1 on rows of the struct-of-arrays
    fastpath [Batch].  [solve] is a one-row batch, [solve_batch] K rows;
    both run the same loops below on one [Batch.t] per domain, so pool
-   workers fan stripes out without sharing scratch.
+   workers fan segments out without sharing scratch.
 
    Every evaluation kernel and fill is bit-identical to its closure-
    evaluated [Multilevel] reference; the iteration itself is accelerated
@@ -213,9 +213,15 @@ let solve_reference ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9)
 
 module Batch = Ckpt_fastpath.Batch
 
-type batch_job = { problem : problem; fixed_n : float option; delta : float }
+type batch_job = {
+  problem : problem;
+  fixed_n : float option;
+  delta : float;
+  inject : Ckpt_chaos.Chaos.fault option;
+}
 
-let batch_job ?(delta = 1e-9) ?fixed_n problem = { problem; fixed_n; delta }
+let batch_job ?(delta = 1e-9) ?fixed_n ?inject problem =
+  { problem; fixed_n; delta; inject }
 
 (* Not re-entrant within a domain: nothing in this library solves from
    inside a solve, and domains never share an instance. *)
@@ -608,11 +614,15 @@ let rec batch_outer b ~row ~delta ~max_outer ~n_hi (p : problem) fixed_n
    plan of another arity or without a finite-positive wall clock is
    ignored, a non-finite or <= 1 interval starts at 1, a non-finite or
    < 1 scale starts at the cold scale, and mus of another arity leave
-   the drift reference empty.  [estimate] overrides the cold start's
-   failure-free wall-clock estimate ([solve_outcome]'s [Non_finite]
-   injection). *)
-let solve_batch_row b ~row ~delta ~max_outer ~n_max ?warm ?estimate
-    (p : problem) fixed_n =
+   the drift reference empty.
+
+   A faulted job ([inject]; [solve_batch] passes it no seed) exercises
+   the real failure paths rather than fabricating an outcome: [Diverge]
+   starves the outer fixed point of rounds ([max_outer] 1), [Non_finite]
+   starts it from a NaN wall-clock estimate, which the outer loop's own
+   finiteness guard must catch. *)
+let solve_batch_row b ~row ~max_outer ~n_max ?warm (j : batch_job) =
+  let p = j.problem and fixed_n = j.fixed_n and delta = j.delta in
   let n_hi = Speedup.search_upper_bound p.speedup ~default:n_max in
   let s = b.Batch.s in
   s.(Batch.slot_fevals) <- 0.;
@@ -638,12 +648,17 @@ let solve_batch_row b ~row ~delta ~max_outer ~n_max ?warm ?estimate
       batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n prev_valid true nan
         nan infinity 0 false 0 0
   | None ->
-      s.(Batch.slot_est) <-
-        (match estimate with
-        | Some e -> e
-        | None ->
-            let n0 = match fixed_n with Some n -> n | None -> n_hi in
-            Speedup.productive_time p.speedup ~te:p.te ~n:n0);
+      let productive () =
+        let n0 = match fixed_n with Some n -> n | None -> n_hi in
+        Speedup.productive_time p.speedup ~te:p.te ~n:n0
+      in
+      let estimate, max_outer =
+        match j.inject with
+        | Some Ckpt_chaos.Chaos.Non_finite -> (Float.nan, max_outer)
+        | Some Ckpt_chaos.Chaos.Diverge -> (productive (), 1)
+        | _ -> (productive (), max_outer)
+      in
+      s.(Batch.slot_est) <- estimate;
       batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n false false nan nan
         infinity 0 false 0 0
 
@@ -655,14 +670,10 @@ let reserve_one (p : problem) =
   b.Batch.nlev.(0) <- nl;
   b
 
-let solve_one ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9) ?warm
-    ?estimate p =
+let solve ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9) ?warm p =
   check_problem p;
-  solve_batch_row (reserve_one p) ~row:0 ~delta ~max_outer ~n_max ?warm
-    ?estimate p fixed_n
-
-let solve ?delta ?max_outer ?fixed_n ?n_max ?warm p =
-  solve_one ?delta ?max_outer ?fixed_n ?n_max ?warm p
+  solve_batch_row (reserve_one p) ~row:0 ~max_outer ~n_max ?warm
+    (batch_job ~delta ?fixed_n p)
 
 let expected_wall_clock p ~estimate ~xs ~n =
   let nl = Array.length p.levels in
@@ -715,11 +726,14 @@ let solve_batch ?(max_outer = 1_000) ?(n_max = 1e9) (jobs : batch_job array) =
     Array.iter
       (fun row ->
         let j = jobs.(row) in
+        (* Warm starts need the same hierarchy, physically: separately
+           built level arrays are never compared (every level carries
+           overhead-law closures).  A faulted row neither takes a seed
+           nor, since it cannot converge, becomes one. *)
         let warm =
           match !warm_src with
           | Some (_, src_job, src_plan)
-            when src_job.problem.levels == j.problem.levels
-                 || src_job.problem.levels = j.problem.levels ->
+            when src_job.problem.levels == j.problem.levels && Option.is_none j.inject ->
               Some src_plan
           | _ -> None
         in
@@ -730,8 +744,7 @@ let solve_batch ?(max_outer = 1_000) ?(n_max = 1e9) (jobs : batch_job array) =
            is exactly where a same-hierarchy neighbour's last fill sits
            after its own converged solve. *)
         (match (!warm_src, warm) with
-         | Some (src_row, src_job, src_plan), Some _
-           when src_job.problem.levels == j.problem.levels ->
+         | Some (src_row, _, src_plan), Some _ ->
              let n0 =
                match j.fixed_n with
                | Some n -> n
@@ -740,10 +753,7 @@ let solve_batch ?(max_outer = 1_000) ?(n_max = 1e9) (jobs : batch_job array) =
              if src_row <> row && b.Batch.cost_key.(src_row) = n0 then
                Batch.share_costs b ~src:src_row ~dst:row
          | _ -> ());
-        let plan =
-          solve_batch_row b ~row ~delta:j.delta ~max_outer ~n_max ?warm
-            j.problem j.fixed_n
-        in
+        let plan = solve_batch_row b ~row ~max_outer ~n_max ?warm j in
         plans.(row) <- Some plan;
         if plan.converged && Float.is_finite plan.wall_clock then
           warm_src := Some (row, j, plan))
@@ -761,23 +771,8 @@ let classify plan =
   else if plan.converged then Converged plan
   else Diverged plan
 
-let solve_outcome ?delta ?max_outer ?fixed_n ?n_max ?warm ?inject p =
-  let plan =
-    match inject with
-    | Some Ckpt_chaos.Chaos.Non_finite ->
-        (* Poison the initial wall-clock estimate: the outer loop's own
-           finiteness guard must catch it and report a divergent plan —
-           the injection exercises the real guard path, it does not
-           fabricate the outcome. *)
-        solve_one ?delta ?max_outer ?fixed_n ?n_max ~estimate:Float.nan p
-    | Some Ckpt_chaos.Chaos.Diverge ->
-        (* Starve the outer fixed point of iterations (and of its warm
-           start, whose seeded drift reference could legitimately settle
-           in one round): the solve runs but cannot converge. *)
-        solve ?delta ~max_outer:1 ?fixed_n ?n_max p
-    | Some _ | None -> solve ?delta ?max_outer ?fixed_n ?n_max ?warm p
-  in
-  classify plan
+let solve_outcome ?delta ?max_outer ?fixed_n ?n_max ?inject p =
+  classify (solve_batch ?max_outer ?n_max [| batch_job ?delta ?fixed_n ?inject p |]).(0)
 
 type sweep_axis = [ `Scale | `Te | `Alloc ]
 

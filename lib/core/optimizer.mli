@@ -114,11 +114,19 @@ val expected_wall_clock :
     @raise Invalid_argument if [xs] has another arity than the
     hierarchy. *)
 
-(** One problem of a batch solve: [fixed_n]/[delta] as in {!solve}. *)
-type batch_job = { problem : problem; fixed_n : float option; delta : float }
+(** One problem of a batch solve: [fixed_n]/[delta] as in {!solve};
+    [inject] applies a chaos solver fault to the row (see
+    {!solve_outcome}). *)
+type batch_job = {
+  problem : problem;
+  fixed_n : float option;
+  delta : float;
+  inject : Ckpt_chaos.Chaos.fault option;
+}
 
-val batch_job : ?delta:float -> ?fixed_n:float -> problem -> batch_job
-(** [delta] defaults to [1e-9], matching {!solve}. *)
+val batch_job :
+  ?delta:float -> ?fixed_n:float -> ?inject:Ckpt_chaos.Chaos.fault -> problem -> batch_job
+(** [delta] defaults to [1e-9], matching {!solve}; no fault by default. *)
 
 val solve_batch :
   ?max_outer:int -> ?n_max:float -> batch_job array -> plan array
@@ -134,8 +142,13 @@ val solve_batch :
     ideal scale): each row warm-starts from the nearest
     already-converged row of the same hierarchy — seeded xs, scale
     bracket and mu estimate — the cross-row twin of {!sweep}'s
-    neighbour walk.  A diverged row is skipped as a seed source, not a
-    chain breaker.
+    neighbour walk.  The same hierarchy means the same [levels] array,
+    physically: rows whose problems were built separately (say, parsed
+    from two JSON objects) never seed each other, even when their
+    levels are equal, so each solves exactly as it would alone.  A
+    diverged row is skipped as a seed source, not a chain breaker.  A
+    faulted row ([inject] set) solves cold and, since a [Diverge] or
+    [Non_finite] row cannot converge, never becomes a seed.
 
     Contract: each row's plan is plan-equivalent to
     [solve_reference ?delta ?fixed_n problem] of its job — same integer
@@ -169,17 +182,16 @@ val solve_outcome :
   ?max_outer:int ->
   ?fixed_n:float ->
   ?n_max:float ->
-  ?warm:plan ->
   ?inject:Ckpt_chaos.Chaos.fault ->
   problem ->
   outcome
-(** {!solve}, classified.  Without [inject] the underlying plan is
+(** A one-row {!solve_batch}, classified.  Without [inject] the plan is
     byte-identical to {!solve}'s.  [inject] applies a chaos fault to
-    this solve: [Diverge] starves the outer loop of iterations (and of
-    its warm start) so it cannot settle, [Non_finite] poisons the
-    initial wall-clock estimate with NaN so the loop's own finiteness
-    guard trips; both exercise the real failure paths rather than
-    fabricating an outcome.  Other faults are ignored here. *)
+    the row: [Diverge] starves the outer loop of rounds ([max_outer] 1)
+    so it cannot settle, [Non_finite] starts it from a NaN wall-clock
+    estimate so the loop's own finiteness guard trips; both solve cold
+    and exercise the real failure paths rather than fabricating an
+    outcome.  Other faults are ignored here. *)
 
 type sweep_axis = [ `Scale | `Te | `Alloc ]
 (** Which problem coordinate a sweep varies: [`Scale] pins [fixed_n] at

@@ -13,8 +13,8 @@
     A batch instance is single-domain scratch: [Optimizer] keeps one per
     domain in domain-local storage and runs both [Optimizer.solve] (on
     row 0) and [Optimizer.solve_batch] on it, so neither may be
-    re-entered within a domain; stripes handed to pool workers land on
-    that worker's own instance. *)
+    re-entered within a domain; segments of rows handed to pool workers
+    land on that worker's own instance. *)
 
 type t = {
   mutable rows : int;

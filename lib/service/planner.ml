@@ -1,13 +1,9 @@
 open Ckpt_model
 module Pool = Ckpt_parallel.Pool
 module Chaos = Ckpt_chaos.Chaos
-module Rng = Ckpt_numerics.Rng
 
 type resilience = {
   max_attempts : int;
-  backoff_ms : float;
-  backoff_factor : float;
-  jitter : float;
   deadline_ms : float;
   breaker_threshold : int;
   breaker_cooldown : int;
@@ -16,9 +12,6 @@ type resilience = {
 
 let default_resilience =
   { max_attempts = 3;
-    backoff_ms = 1.;
-    backoff_factor = 2.;
-    jitter = 0.5;
     deadline_ms = 10_000.;
     breaker_threshold = 5;
     breaker_cooldown = 16;
@@ -26,12 +19,6 @@ let default_resilience =
 
 let check_resilience r =
   if r.max_attempts < 1 then invalid_arg "Planner: max_attempts < 1";
-  if not (Float.is_finite r.backoff_ms) || r.backoff_ms < 0. then
-    invalid_arg "Planner: backoff_ms must be finite and >= 0";
-  if not (Float.is_finite r.backoff_factor) || r.backoff_factor < 1. then
-    invalid_arg "Planner: backoff_factor must be finite and >= 1";
-  if not (Float.is_finite r.jitter) || r.jitter < 0. || r.jitter > 1. then
-    invalid_arg "Planner: jitter must be in [0, 1]";
   if Float.is_nan r.deadline_ms || r.deadline_ms <= 0. then
     invalid_arg "Planner: deadline_ms must be positive";
   if r.breaker_threshold < 0 then invalid_arg "Planner: breaker_threshold < 0";
@@ -46,7 +33,7 @@ type t = {
   (* Breaker state, the canonical-form memo and the solve sequence
      counter are only touched by the coordinator (solve_batch / replan
      callers), never by pool workers, so they need no lock. *)
-  mutable seq : int;  (* chaos/backoff key of the next uncached solve *)
+  mutable seq : int;  (* chaos key of the next uncached solve *)
   mutable consecutive_failures : int;
   mutable open_remaining : int;  (* > 0: breaker open, skip primary *)
   mutable canon_memo : (Optimizer.problem * int64) option;
@@ -105,84 +92,171 @@ let query_key t (q : Protocol.query) =
   let h = Fingerprint.hash_fold h (f q.Protocol.delta) in
   Fingerprint.hash_hex h
 
-(* Uncached dispatch, classified.  Without [inject] the underlying solve
-   is byte-identical to the pre-outcome dispatch. *)
-let run_query_outcome ?inject (q : Protocol.query) =
-  let delta = q.Protocol.delta in
+(* What an uncached query solves.  Ml_opt, Ml_ori and Sl_opt are rows of
+   [Optimizer.solve_batch], their problem checked here, so a bad one
+   fails before any row is cut.  Sl_ori is Young's closed form, computed
+   here: it has no fixed point to starve and no estimate to poison, so
+   no solver fault applies to it, and a retry would recompute the same
+   plan.  Raises whatever the model raises on a problem it rejects. *)
+type target = Row of Optimizer.batch_job | Closed of Optimizer.plan
+
+let target_of (q : Protocol.query) =
   let p = q.Protocol.problem in
+  let row p fixed_n =
+    Optimizer.check_problem p;
+    Row (Optimizer.batch_job ~delta:q.Protocol.delta ?fixed_n p)
+  in
   match (q.Protocol.solution, q.Protocol.fixed_n) with
-  | Protocol.Ml_opt, None -> Optimizer.solve_outcome ~delta ?inject p
-  | Protocol.Ml_opt, Some n -> Optimizer.solve_outcome ~delta ~fixed_n:n ?inject p
+  | Protocol.Ml_opt, fixed_n -> row p fixed_n
   | Protocol.Ml_ori, n ->
-      let n =
-        Option.value n
-          ~default:(Speedup.search_upper_bound p.Optimizer.speedup ~default:1e9)
-      in
-      Optimizer.solve_outcome ~delta ~fixed_n:n ?inject p
-  | Protocol.Sl_opt, None ->
-      Optimizer.solve_outcome ~delta ?inject (Optimizer.single_level_problem p)
-  | Protocol.Sl_opt, Some n ->
-      Optimizer.solve_outcome ~delta ~fixed_n:n ?inject
-        (Optimizer.single_level_problem p)
-  | Protocol.Sl_ori, n ->
-      (* Young's closed form has no fixed point to starve and no estimate
-         to poison — solver faults cannot apply to it. *)
-      Optimizer.classify (Optimizer.sl_ori_scale ?n p)
+      row p
+        (Some
+           (Option.value n
+              ~default:(Speedup.search_upper_bound p.Optimizer.speedup ~default:1e9)))
+  | Protocol.Sl_opt, fixed_n -> row (Optimizer.single_level_problem p) fixed_n
+  | Protocol.Sl_ori, n -> Closed (Optimizer.sl_ori_scale ?n p)
+
+let run_query_outcome ?inject q =
+  match target_of q with
+  | Row job ->
+      Optimizer.classify (Optimizer.solve_batch [| { job with Optimizer.inject } |]).(0)
+  | Closed plan -> Optimizer.classify plan
 
 let run_query q = Optimizer.plan_of_outcome (run_query_outcome q)
+
+(* Rows per [Optimizer.solve_batch] call in a first round.  Segments are
+   cut from the rows alone, consecutively in submission order, never by
+   pool size: the warm-start chains inside a segment decide each plan's
+   bits, so this is what keeps every answer the same for any worker
+   count.  16 is at least the rows of a typical request (a batch-plan of
+   16, a sweep of 8), which then solves as one batch. *)
+let segment_rows = 16
+
+(* One [Optimizer.solve_batch] call.  If it raises, its rows are re-run
+   one at a time, so only the row that raises answers with its
+   exception. *)
+let rec solve_segment jobs =
+  match Optimizer.solve_batch jobs with
+  | plans -> Array.map Result.ok plans
+  | exception e when Array.length jobs = 1 -> [| Error e |]
+  | exception _ -> Array.map (fun job -> (solve_segment [| job |]).(0)) jobs
+
+(* Solve [jobs] in consecutive segments of at most [per] rows, fanned
+   over the pool when there is more than one.  Each row comes back with
+   its plan (or the exception it raised) and its share of its segment's
+   wall time. *)
+let solve_rows ?pool ~per jobs =
+  let n = Array.length jobs in
+  let segments =
+    Array.init ((n + per - 1) / per) (fun s ->
+        Array.sub jobs (s * per) (min per (n - (s * per))))
+  in
+  let run segment =
+    let t0 = Metrics.now_ms () in
+    let rows = solve_segment segment in
+    let ms = (Metrics.now_ms () -. t0) /. float_of_int (Array.length segment) in
+    Array.map (fun row -> (row, ms)) rows
+  in
+  Array.concat
+    (Array.to_list
+       (match pool with
+       | Some pool when Array.length segments > 1 -> Pool.map pool ~f:run segments
+       | _ -> Array.map run segments))
+
+(* An uncached query on its way through the rounds: its chaos key, and
+   whether the breaker (open at batch entry) skips its primary path. *)
+type miss = { query : Protocol.query; seq : int; skip : bool }
 
 let solve_error e =
   Protocol.error_v "solve-failure"
     (match e with Invalid_argument m | Failure m -> m | e -> Printexc.to_string e)
 
-(* Deterministic backoff jitter: keyed by (request key, attempt), not by
-   a shared stream, for the same reason chaos draws are. *)
-let backoff_sleep r ~key ~attempt =
-  let base = r.backoff_ms *. (r.backoff_factor ** float_of_int (attempt - 1)) in
-  let rng = Rng.of_int ((key * 2654435761) + attempt) in
-  let factor = 1. +. (r.jitter *. ((2. *. Rng.float rng) -. 1.)) in
-  let ms = Float.min 1_000. (base *. factor) in
-  if ms > 0. then Unix.sleepf (ms /. 1000.)
+let circuit_open =
+  Protocol.error_v "circuit-open"
+    "multilevel path suspended after repeated failures; serving closed-form \
+     fallback"
 
-(* One uncached solve under the full retry discipline: bounded attempts,
-   exponential backoff with jitter between them, and a per-request
-   deadline checked before each retry (an in-flight OCaml solve cannot
-   be interrupted, so the deadline bounds retrying, not one solve).
-   Safe to run on a pool worker: everything it touches is immutable or
-   its own. *)
-let solve_with_retries t ~key (q : Protocol.query) =
+(* The primary (requested) path of every miss, in rounds.  Round 0
+   solves each miss the breaker did not skip, its rows in segments.
+   Round k > 0 solves each row that is still failing on its own, as a
+   one-row batch: the cold solve a lone retry is.  Every row of round k
+   carries its attempt-k fault, drawn here on the coordinator in
+   submission order, so the schedule is a pure function of (seed, key,
+   attempt) — and nothing sleeps between rounds, since an injected
+   fault is not contention that waiting could clear.
+
+   A row leaves at its first converged plan.  It fails for good when it
+   raises (permanent: retrying cannot change a rejected problem), when
+   the deadline has passed before a round (an in-flight solve cannot be
+   interrupted, so the deadline bounds retrying, not one solve), or when
+   its attempts are spent.  Returns each miss's [Ok (plan, attempts)] or
+   [Error reason]; [ms] accumulates each miss's solve time. *)
+let primary ?pool t misses ms =
   let r = t.resilience in
   let deadline = Metrics.now_ms () +. r.deadline_ms in
-  let rec attempt k last_err =
-    if k >= r.max_attempts then Error { last_err with Protocol.attempts = k }
+  let result = Array.map (fun _ -> Error circuit_open) misses in
+  (* Fold attempt [k]'s outcome into miss [i]; true if it goes again. *)
+  let settle i k = function
+    | Ok plan -> (
+        match Optimizer.classify plan with
+        | Optimizer.Converged plan ->
+            result.(i) <- Ok (plan, k + 1);
+            false
+        | Optimizer.Diverged _ ->
+            result.(i) <-
+              Error
+                (Protocol.error_v ~attempts:(k + 1) "solver-diverged"
+                   "outer fixed point hit its iteration cap before the mu drift \
+                    converged");
+            true
+        | Optimizer.Non_finite _ ->
+            result.(i) <-
+              Error
+                (Protocol.error_v ~attempts:(k + 1) "solver-non-finite"
+                   "expected wall clock is unbounded at this failure burden");
+            true)
+    | Error e ->
+        result.(i) <- Error { (solve_error e) with Protocol.attempts = k + 1 };
+        false
+  in
+  let rec round k live =
+    if k >= r.max_attempts || List.is_empty live then ()
     else if k > 0 && Metrics.now_ms () >= deadline then
-      Error
-        (Protocol.error_v ~attempts:k "deadline-exceeded"
-           (Printf.sprintf "retry budget (%g ms) exhausted after %d attempts"
-              r.deadline_ms k))
+      List.iter
+        (fun (i, _) ->
+          result.(i) <-
+            Error
+              (Protocol.error_v ~attempts:k "deadline-exceeded"
+                 (Printf.sprintf "retry budget (%g ms) exhausted after %d attempts"
+                    r.deadline_ms k)))
+        live
     else begin
-      if k > 0 then backoff_sleep r ~key ~attempt:k;
-      let inject =
-        Option.bind t.chaos (fun ch -> Chaos.solver_fault ch ~index:key ~attempt:k)
+      let fault i =
+        Option.bind t.chaos (fun ch ->
+            Chaos.solver_fault ch ~index:misses.(i).seq ~attempt:k)
       in
-      match run_query_outcome ?inject q with
-      | Optimizer.Converged plan -> Ok (plan, k + 1)
-      | Optimizer.Diverged _ ->
-          attempt (k + 1)
-            (Protocol.error_v "solver-diverged"
-               "outer fixed point hit its iteration cap before the mu drift \
-                converged")
-      | Optimizer.Non_finite _ ->
-          attempt (k + 1)
-            (Protocol.error_v "solver-non-finite"
-               "expected wall clock is unbounded at this failure burden")
-      | exception e ->
-          (* Invalid_argument and friends are permanent: retrying cannot
-             change a rejected problem. *)
-          Error { (solve_error e) with Protocol.attempts = k + 1 }
+      let jobs =
+        Array.of_list
+          (List.map (fun (i, job) -> { job with Optimizer.inject = fault i }) live)
+      in
+      let solved = solve_rows ?pool ~per:(if k = 0 then segment_rows else 1) jobs in
+      List.iteri (fun x (i, _) -> ms.(i) <- ms.(i) +. snd solved.(x)) live;
+      round (k + 1) (List.filteri (fun x (i, _) -> settle i k (fst solved.(x))) live)
     end
   in
-  attempt 0 (Protocol.error_v "solve-failure" "no attempt made")
+  let live = ref [] in
+  for i = Array.length misses - 1 downto 0 do
+    if not misses.(i).skip then begin
+      let t0 = Metrics.now_ms () in
+      (match target_of misses.(i).query with
+      | Row job -> live := (i, job) :: !live
+      | Closed plan -> ignore (settle i 0 (Ok plan))
+      | exception e -> ignore (settle i 0 (Error e)));
+      ms.(i) <- Metrics.now_ms () -. t0
+    end
+  done;
+  round 0 !live;
+  result
 
 (* The degraded chain: cheaper, better-conditioned solutions in quality
    order.  sl-opt still optimizes interval and scale over the collapsed
@@ -195,83 +269,83 @@ let fallback_candidates (q : Protocol.query) =
   | Protocol.Sl_opt -> [ Protocol.Sl_ori ]
   | Protocol.Sl_ori -> []
 
-let fallback_chain (q : Protocol.query) =
-  List.find_map
-    (fun solution ->
-      match run_query_outcome { q with Protocol.solution } with
-      | Optimizer.Converged plan -> Some (solution, plan)
-      | Optimizer.Diverged _ | Optimizer.Non_finite _ -> None
-      | exception _ -> None)
-    (fallback_candidates q)
-
-(* One uncached query end to end: primary with retries (unless the
-   breaker says skip), then the fallback chain.  Returns the answer plus
-   whether the *primary* path failed — the signal the breaker folds. *)
-let solve_uncached t ~skip_primary ~key (q : Protocol.query) =
-  let primary =
-    if skip_primary then
-      Error
-        (Protocol.error_v "circuit-open"
-           "multilevel path suspended after repeated failures; serving \
-            closed-form fallback")
-    else solve_with_retries t ~key q
+(* Every failed miss down the chain, one pass per rung: the sl-opt rows
+   through the same segment solver — each [single_level_problem] is a
+   fresh hierarchy, so they solve cold, exactly as they would alone —
+   then Young's closed form for whatever is left.  A rung that cannot be
+   built or does not converge hands the miss to the next one. *)
+let fallback ?pool misses failed ms =
+  let served = Array.make (Array.length misses) None in
+  let serve i solution plan =
+    match Optimizer.classify plan with
+    | Optimizer.Converged plan -> served.(i) <- Some (solution, plan)
+    | Optimizer.Diverged _ | Optimizer.Non_finite _ -> ()
   in
-  match primary with
-  | Ok (plan, attempts) ->
-      (attempts - 1, false, Ok { Protocol.plan; cached = false; degraded = None })
-  | Error reason ->
-      let retries = max 0 (reason.Protocol.attempts - 1) in
-      if not t.resilience.fallback then (retries, true, Error reason)
-      else (
-        match fallback_chain q with
-        | Some (fallback, plan) ->
-            ( retries,
-              true,
-              Ok
-                { Protocol.plan;
-                  cached = false;
-                  degraded = Some { Protocol.fallback; reason } } )
-        | None -> (retries, true, Error reason))
+  List.iter
+    (fun solution ->
+      let rows = ref [] in
+      for i = Array.length misses - 1 downto 0 do
+        let q = misses.(i).query in
+        if
+          failed.(i)
+          && Option.is_none served.(i)
+          && List.mem solution (fallback_candidates q)
+        then
+          match target_of { q with Protocol.solution } with
+          | Row job -> rows := (i, job) :: !rows
+          | Closed plan -> serve i solution plan
+          | exception _ -> ()
+      done;
+      let rows = Array.of_list !rows in
+      let solved = solve_rows ?pool ~per:segment_rows (Array.map snd rows) in
+      Array.iteri
+        (fun x (i, _) ->
+          let outcome, share = solved.(x) in
+          ms.(i) <- ms.(i) +. share;
+          Result.iter (serve i solution) outcome)
+        rows)
+    [ Protocol.Sl_opt; Protocol.Sl_ori ];
+  served
 
-let solve_timed t ~skip_primary ~key q =
-  let t0 = Metrics.now_ms () in
-  let outcome = solve_uncached t ~skip_primary ~key q in
-  (outcome, Metrics.now_ms () -. t0)
+(* Every miss end to end: the primary rounds, then the fallback chain
+   for the misses they failed.  Returns, per miss, the retries spent,
+   the answer and the solve time. *)
+let solve_misses ?pool t misses =
+  let ms = Array.make (Array.length misses) 0. in
+  let primary = if Array.length misses = 0 then [||] else primary ?pool t misses ms in
+  let failed = Array.map Result.is_error primary in
+  let served =
+    if t.resilience.fallback && Array.mem true failed then fallback ?pool misses failed ms
+    else Array.make (Array.length misses) None
+  in
+  Array.mapi
+    (fun i -> function
+      | Ok (plan, attempts) ->
+          (attempts - 1, Ok { Protocol.plan; cached = false; degraded = None }, ms.(i))
+      | Error reason ->
+          ( max 0 (reason.Protocol.attempts - 1),
+            (match served.(i) with
+            | Some (fallback, plan) ->
+                Ok
+                  { Protocol.plan;
+                    cached = false;
+                    degraded = Some { Protocol.fallback; reason } }
+            | None -> Error reason),
+            ms.(i) ))
+    primary
 
-(* Map a query onto a batch job — the same dispatch [run_query_outcome]
-   performs, minus what the batch solver cannot express: Sl_ori's
-   closed form, and problems that fail validation (the classic path
-   owns the error shape for those).  [None] means "classic path". *)
-let batch_job_of (q : Protocol.query) =
-  let delta = q.Protocol.delta in
-  let p = q.Protocol.problem in
-  match
-    match (q.Protocol.solution, q.Protocol.fixed_n) with
-    | Protocol.Ml_opt, fixed_n -> Some (p, fixed_n)
-    | Protocol.Ml_ori, n ->
-        Some
-          ( p,
-            Some
-              (Option.value n
-                 ~default:
-                   (Speedup.search_upper_bound p.Optimizer.speedup ~default:1e9))
-          )
-    | Protocol.Sl_opt, fixed_n ->
-        Some (Optimizer.single_level_problem p, fixed_n)
-    | Protocol.Sl_ori, _ -> None
-  with
-  | None -> None
-  | Some (p, fixed_n) ->
-      Optimizer.check_problem p;
-      Some (Optimizer.batch_job ~delta ?fixed_n p)
-  | exception _ -> None
-
-(* Coordinator-side bookkeeping for one primary-path outcome, in
-   submission order: count-based breaker (open after [breaker_threshold]
+(* Coordinator-side bookkeeping for one miss's outcome, in submission
+   order: count-based breaker (open after [breaker_threshold]
    consecutive primary failures, serve fallbacks for [breaker_cooldown]
    requests, then re-try the primary path) plus the resilience
-   counters. *)
-let fold_outcome t ~skipped ~retries ~primary_failed ~degraded =
+   counters.  The primary failed unless the answer is a healthy plan. *)
+let fold_outcome t ~skipped ~retries outcome =
+  let primary_failed, degraded =
+    match outcome with
+    | Ok { Protocol.degraded = None; _ } -> (false, false)
+    | Ok { Protocol.degraded = Some _; _ } -> (true, true)
+    | Error _ -> (true, false)
+  in
   if retries > 0 then Metrics.add_retries t.metrics retries;
   if degraded then Metrics.incr_degraded t.metrics;
   let r = t.resilience in
@@ -287,7 +361,7 @@ let fold_outcome t ~skipped ~retries ~primary_failed ~degraded =
     else t.consecutive_failures <- 0
   end
 
-(* Decide, before fan-out, whether this uncached request may try the
+(* Decide, before any solve, whether this uncached request may try the
    primary path.  Consumes one cooldown tick when open. *)
 let decide_skip t =
   if t.open_remaining > 0 then begin
@@ -296,17 +370,18 @@ let decide_skip t =
   end
   else false
 
-let next_key t =
-  let key = t.seq in
-  t.seq <- key + 1;
-  key
+let next_miss t query =
+  let skip = decide_skip t in
+  let seq = t.seq in
+  t.seq <- seq + 1;
+  { query; seq; skip }
 
 (* A replan solves a *fitted* problem: the template query's spec and
    overhead laws are replaced by the session estimates.  Never cached —
    the estimates move with every observe, so a fingerprint hit would
    serve stale parameters — and timed into its own metrics series.  It
-   runs inline on the coordinator, so it gets per-request breaker
-   granularity. *)
+   is a one-miss batch on the coordinator, so it gets per-request
+   breaker granularity. *)
 let replan t ~rates ~costs ~prior_strength (q : Protocol.query) =
   let p = q.Protocol.problem in
   let fit () =
@@ -318,21 +393,12 @@ let replan t ~rates ~costs ~prior_strength (q : Protocol.query) =
   in
   match fit () with
   | exception Invalid_argument m -> Error (Protocol.error_v "invalid-request" m)
-  | fitted -> (
-      let skip_primary = decide_skip t in
-      let key = next_key t in
-      let (retries, primary_failed, outcome), ms =
-        solve_timed t ~skip_primary ~key { q with Protocol.problem = fitted }
-      in
+  | fitted ->
+      let miss = next_miss t { q with Protocol.problem = fitted } in
+      let retries, outcome, ms = (solve_misses t [| miss |]).(0) in
       Metrics.record_replan_ms t.metrics ms;
-      fold_outcome t ~skipped:skip_primary ~retries ~primary_failed
-        ~degraded:
-          (match outcome with
-          | Ok { Protocol.degraded = Some _; _ } -> true
-          | _ -> false);
-      match outcome with
-      | Ok answer -> Ok (answer, fitted)
-      | Error e -> Error e)
+      fold_outcome t ~skipped:miss.skip ~retries outcome;
+      Result.map (fun answer -> (answer, fitted)) outcome
 
 let solve_batch ?pool t queries =
   let n = Array.length queries in
@@ -367,118 +433,25 @@ let solve_batch ?pool t queries =
               let slot = !n_miss in
               incr n_miss;
               Hashtbl.add pending key slot;
-              miss_rev := (key, q, next_key t, decide_skip t) :: !miss_rev;
+              miss_rev := (key, next_miss t q) :: !miss_rev;
               slot_of.(i) <- slot))
     queries;
-  (* Pass 2: fan the unique misses out.  Misses the batch solver can
-     express — chaos off, breaker closed, a solver-backed solution
-     shape, a valid problem — go through [Optimizer.solve_batch] in
-     contiguous stripes (one SoA pass per stripe, fanned across the
-     pool).  Within a stripe the rows are solved in scale order with
-     cross-row warm starts; each converged row is plan-equivalent to
-     the classic dispatch's answer (same integer scale, E(T_w) within
-     1e-9 relative — the solver contract), so it stands in for the
-     classic first-attempt success: zero retries, primary intact,
-     per-row time the stripe mean.  Rows that do not converge are
-     re-dispatched down the classic path, whose retry discipline and
-     fallback chain would have engaged on the same deterministic
-     divergence. *)
+  (* Pass 2: solve the unique misses — primary rounds in segments, then
+     the fallback chain (see [solve_misses]). *)
   let misses = Array.of_list (List.rev !miss_rev) in
-  let solved = Array.make (Array.length misses) None in
-  if t.chaos = None then begin
-    let rows_rev = ref [] in
-    Array.iteri
-      (fun i (_, q, _, skip_primary) ->
-        if not skip_primary then
-          match batch_job_of q with
-          | Some job -> rows_rev := (i, job) :: !rows_rev
-          | None -> ())
-      misses;
-    let rows = Array.of_list (List.rev !rows_rev) in
-    let nrows = Array.length rows in
-    if nrows > 0 then begin
-      let jobs = Array.map snd rows in
-      (* Stripe count: enough to keep every worker busy twice over, but
-         never stripes of fewer than ~8 rows — below that the stripe
-         setup outweighs the shared-term reuse inside it. *)
-      let stripes =
-        match pool with
-        | Some pool when Pool.workers pool > 1 && nrows >= 16 ->
-            let nstripes = min (2 * Pool.workers pool) ((nrows + 7) / 8) in
-            let per = (nrows + nstripes - 1) / nstripes in
-            Array.init nstripes (fun s ->
-                let lo = s * per in
-                (lo, min nrows (lo + per) - lo))
-        | _ -> [| (0, nrows) |]
-      in
-      let solve_stripe (lo, len) =
-        if len <= 0 then ([||], 0.)
-        else
-          let t0 = Metrics.now_ms () in
-          match Optimizer.solve_batch (Array.sub jobs lo len) with
-          | plans -> (plans, (Metrics.now_ms () -. t0) /. float_of_int len)
-          | exception _ -> ([||], 0.)  (* stripe falls back to classic *)
-      in
-      let stripe_results =
-        match pool with
-        | Some pool when Array.length stripes > 1 ->
-            Pool.map pool ~f:solve_stripe stripes
-        | _ -> Array.map solve_stripe stripes
-      in
-      Array.iteri
-        (fun s (lo, len) ->
-          let plans, per_row_ms = stripe_results.(s) in
-          if Array.length plans = len then
-            for k = 0 to len - 1 do
-              let mi, _ = rows.(lo + k) in
-              match Optimizer.classify plans.(k) with
-              | Optimizer.Converged plan ->
-                  solved.(mi) <-
-                    Some
-                      ( ( 0,
-                          false,
-                          Ok { Protocol.plan; cached = false; degraded = None }
-                        ),
-                        per_row_ms )
-              | Optimizer.Diverged _ | Optimizer.Non_finite _ -> ()
-            done)
-        stripes
-    end
-  end;
-  (* Whatever the batch path did not serve goes down the classic path. *)
-  let solve (_, q, key, skip_primary) = solve_timed t ~skip_primary ~key q in
-  let rest_idx =
-    Array.of_list
-      (List.filter
-         (fun i -> Option.is_none solved.(i))
-         (List.init (Array.length misses) Fun.id))
-  in
-  let rest = Array.map (fun i -> misses.(i)) rest_idx in
-  let rest_solved =
-    match pool with
-    | Some pool when Array.length rest > 1 -> Pool.map pool ~f:solve rest
-    | _ -> Array.map solve rest
-  in
-  Array.iteri (fun k i -> solved.(i) <- Some rest_solved.(k)) rest_idx;
-  let solved =
-    Array.map (function Some x -> x | None -> assert false) solved
-  in
+  let solved = solve_misses ?pool t (Array.map snd misses) in
   (* Pass 3: record, fold breaker state in submission order, cache
      healthy plans (degraded answers are never cached — the primary
      might recover on the next miss), reassemble. *)
   Array.iteri
-    (fun slot ((retries, primary_failed, outcome), ms) ->
+    (fun slot (retries, outcome, ms) ->
       Metrics.record_solve_ms t.metrics ms;
-      let cache_key, _, _, skipped = misses.(slot) in
+      let cache_key, miss = misses.(slot) in
       (match outcome with
       | Ok { Protocol.plan; degraded = None; _ } ->
           Sharded_cache.add t.cache cache_key plan
       | Ok _ | Error _ -> ());
-      fold_outcome t ~skipped ~retries ~primary_failed
-        ~degraded:
-          (match outcome with
-          | Ok { Protocol.degraded = Some _; _ } -> true
-          | _ -> false))
+      fold_outcome t ~skipped:miss.skip ~retries outcome)
     solved;
   (* [cached] flag: the first occurrence of a missed key did the solve;
      later in-batch duplicates were served without one. *)
@@ -491,8 +464,8 @@ let solve_batch ?pool t queries =
         Hashtbl.replace first_seen slot ();
         results.(i) <-
           (match solved.(slot) with
-          | (_, _, Ok answer), _ -> Ok { answer with Protocol.cached }
-          | (_, _, Error e), _ -> Error e)
+          | _, Ok answer, _ -> Ok { answer with Protocol.cached }
+          | _, (Error _ as e), _ -> e)
       end)
     queries;
   results

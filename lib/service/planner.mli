@@ -9,45 +9,51 @@
       hit);
     + duplicate keys within the batch collapse onto one solve (the
       duplicates also count as hits — the solver runs once);
-    + the remaining unique misses fan out over the {!Pool} (or run
-      inline when no pool is given), each solve timed into {!Metrics};
+    + the remaining unique misses are solved as rows of
+      {!Ckpt_model.Optimizer.solve_batch}, the only way the planner
+      solves, each row's time recorded in {!Metrics};
     + results are written back to the cache and reassembled.
 
-    Because [Optimizer.solve] is a pure function of the query, the
-    parallel path returns bit-identical plans to sequential solving —
-    the property the test suite pins down.
+    A miss's rows are cut into consecutive segments of at most 16 rows
+    in submission order, whatever the pool size, and the segments fan
+    out over the {!Pool} (or run inline when no pool is given).  Inside
+    a segment, rows that share a problem object warm-start from each
+    other, so a plan is plan-equivalent to solving its query alone —
+    same integer scale, E(T_w) within 1e-9 relative — rather than
+    bit-identical to it.  Because the segments depend on the rows alone,
+    every answer is byte-identical for any worker count.
 
     {2 Resilience}
 
-    Every uncached solve runs under a retry-and-degrade discipline:
+    Every uncached solve runs under a retry-and-degrade discipline, in
+    rounds:
 
-    - the solve is classified ({!Ckpt_model.Optimizer.outcome});
-      [Diverged]/[Non_finite] outcomes are retried up to
-      [max_attempts] times with exponential backoff and deterministic
-      jitter, inside a per-request [deadline_ms] budget;
+    - round 0 solves every miss in segments; each row is classified
+      ({!Ckpt_model.Optimizer.outcome}), and a [Diverged]/[Non_finite]
+      row goes again, alone, in the next round, up to [max_attempts]
+      attempts in all and only while the per-request [deadline_ms]
+      budget lasts.  Nothing sleeps between rounds: solver faults are
+      in-process and deterministic, so waiting cannot change an outcome;
     - a request whose primary (multilevel) path still fails degrades
-      onto the closed-form chain [sl_opt_scale] → Young's [sl_ori_scale]
-      — the answer carries [degraded = Some _] with the fallback used
-      and the reason, and is {e never cached};
+      onto the chain [sl-opt] → Young's [sl-ori] — the answer carries
+      [degraded = Some _] with the fallback used and the reason, and is
+      {e never cached};
     - a count-based circuit breaker opens after [breaker_threshold]
       consecutive primary failures: the next [breaker_cooldown] uncached
       requests skip the primary solve entirely (reason ["circuit-open"])
       and are served by the chain, after which the primary is retried.
 
-    With no chaos policy and a healthy solver none of this machinery
-    fires, and answers are byte-identical to the pre-resilience planner.
+    With no chaos policy and a healthy solver only round 0 runs, and
+    answers carry no resilience fields.
 
-    Chaos solver faults and backoff jitter are keyed by a per-request
-    sequence number assigned in submission order on the coordinator, so
-    the full failure schedule — like the plans themselves — is
-    independent of pool size. *)
+    Chaos solver faults are applied per row, keyed by a per-request
+    sequence number assigned in submission order on the coordinator and
+    by the attempt, so the full failure schedule — like the plans
+    themselves — is independent of pool size. *)
 
 (** Knobs for the retry / deadline / breaker / fallback discipline. *)
 type resilience = {
   max_attempts : int;  (** solve attempts per request, >= 1 *)
-  backoff_ms : float;  (** base pause before retry 1 (then * factor) *)
-  backoff_factor : float;  (** >= 1 *)
-  jitter : float;  (** fraction in [0, 1] of the pause randomized *)
   deadline_ms : float;  (** per-request retry budget, > 0 (may be [infinity]) *)
   breaker_threshold : int;  (** consecutive failures to trip; 0 disables *)
   breaker_cooldown : int;  (** fallback-only requests while open, >= 1 *)
@@ -55,9 +61,8 @@ type resilience = {
 }
 
 val default_resilience : resilience
-(** 3 attempts, 1 ms base backoff doubling with 50% jitter, 10 s
-    deadline, breaker at 5 consecutive failures for 16 requests,
-    fallback on. *)
+(** 3 attempts, 10 s deadline, breaker at 5 consecutive failures for 16
+    requests, fallback on. *)
 
 type t
 
@@ -84,15 +89,17 @@ val query_key : t -> Protocol.query -> string
     [delta], all at the planner's precision. *)
 
 val run_query : Protocol.query -> Ckpt_model.Optimizer.plan
-(** Uncached dispatch to the matching [Optimizer] entry point, without
-    any retry/fallback wrapping.
+(** Uncached solve of one query, without any retry/fallback wrapping:
+    [Ml_opt], [Ml_ori] and [Sl_opt] as a one-row
+    {!Ckpt_model.Optimizer.solve_batch}, [Sl_ori] as Young's closed
+    form.
     @raise Invalid_argument, [Failure] as the optimizer does. *)
 
 val run_query_outcome :
   ?inject:Ckpt_chaos.Chaos.fault ->
   Protocol.query ->
   Ckpt_model.Optimizer.outcome
-(** {!run_query}, classified; [inject] forwards a chaos solver fault
+(** {!run_query}, classified; [inject] is the row's chaos solver fault
     ([Sl_ori] queries ignore it — Young's closed form has no fixed point
     to perturb). *)
 
@@ -108,7 +115,8 @@ val replan :
     template's own rates) and its overhead laws calibrated to the
     observed costs; returns the answer and the fitted problem.  Replans
     bypass the cache entirely, are timed into the [replan_ms] series,
-    and run under the same retry/fallback discipline as batch solves. *)
+    and are solved as a one-miss batch, under the same retry/fallback
+    discipline as batch solves. *)
 
 val solve_batch :
   ?pool:Ckpt_parallel.Pool.t ->

@@ -119,7 +119,6 @@ let always_diverge seed =
 let fast_resilience =
   { Planner.default_resilience with
     Planner.max_attempts = 1;
-    backoff_ms = 0.;
     breaker_threshold = 2;
     breaker_cooldown = 3 }
 
@@ -274,17 +273,34 @@ let run_service ?chaos ?resilience ~workers ~batch lines =
   in
   (List.map Json.to_string responses, Metrics.snapshot (Service.metrics service))
 
+(* A scale sweep of [points] fresh values: as many misses in one line. *)
+let wide_sweep id ~points =
+  Printf.sprintf {|{"id": %d, "op": "sweep", "param": "scale", "values": [%s], "problem": %s}|}
+    id
+    (String.concat ", "
+       (List.init points (fun k ->
+            Printf.sprintf "%g" (3.1e4 +. (float_of_int id *. 1e3) +. (float_of_int k *. 37.)))))
+    (Json.to_string problem_json)
+
 (* The tentpole determinism property: same chaos seed, same traffic =>
    identical fault schedule (the applied-fault log compares equal) and
-   byte-identical responses at 1, 2 and 4 workers. *)
+   byte-identical responses at 1, 2 and 4 workers.  The last batch ends
+   in two 24-point sweeps, so its misses span several segments. *)
 let test_worker_count_independence () =
-  let lines = traffic 60 in
+  let lines = traffic 60 @ [ wide_sweep 60 ~points:24; wide_sweep 61 ~points:24 ] in
   let run workers =
     let chaos = Chaos.create (Chaos.spec ~seed:21 ~rate:0.2 ()) in
     let responses, _ = run_service ~chaos ~workers ~batch:20 lines in
     (responses, Chaos.records chaos, Chaos.injected chaos)
   in
   let r1, log1, n1 = run 1 in
+  let answered line =
+    match Json.list_field "results" (Json.parse line) with
+    | Some points -> List.length points = 24
+    | None -> false
+  in
+  Alcotest.(check bool) "a wide sweep was answered: > 16 misses in one batch" true
+    (List.exists answered r1);
   let r2, log2, n2 = run 2 in
   let r4, log4, n4 = run 4 in
   Alcotest.(check bool) "chaos fired" true (n1 > 0);
@@ -320,6 +336,107 @@ let test_chaos_off_byte_identity () =
       Alcotest.(check bool) "no resilience block in healthy stats" true
         (Json.member "resilience" s = None)
   | None -> Alcotest.fail "stats response missing payload"
+
+(* Chaos on the production path, against the oracle.  Mixed plan,
+   multi-row batch-plan and sweep traffic (over 16 misses, so several
+   segments) under seeded solver-only faults, answered at 0 and 2
+   workers: the responses must agree byte for byte, every healthy plan
+   must be plan-equivalent to the confirmed reference of its query,
+   every sl-opt fallback to the reference of the single-level collapse,
+   and every sl-ori fallback must be Young's closed form exactly. *)
+let qcheck_solver_chaos_against_oracle =
+  let problems = [| mk_problem (); mk_problem ~te_days:1.2e4 ();
+                    mk_problem ~te_days:1.5e4 ~rates:"8-6-4-2" ();
+                    mk_problem ~te_days:2e4 ~kappa:0.5 () |] in
+  let pj i = Json.to_string (Codec.problem_to_json problems.(i)) in
+  let values offset count step =
+    List.init count (fun k -> 1e4 +. offset +. (float_of_int k *. step))
+  in
+  let floats vs = String.concat ", " (List.map (Printf.sprintf "%.17g") vs) in
+  (* Each line with the queries it carries, in answer order. *)
+  let traffic offset =
+    let sweep id i vs =
+      ( Printf.sprintf {|{"id": %d, "op": "sweep", "param": "scale", "values": [%s], "problem": %s}|}
+          id (floats vs) (pj i),
+        List.map (fun n -> query ~fixed_n:n problems.(i)) vs )
+    in
+    let batch id ?(solution = Protocol.Ml_opt) ?fixed_n is =
+      ( Printf.sprintf {|{"id": %d, "op": "batch-plan", "solution": "%s", %s"problems": [%s]}|}
+          id
+          (Protocol.solution_to_string solution)
+          (match fixed_n with
+          | Some n -> Printf.sprintf {|"fixed_n": %.17g, |} n
+          | None -> "")
+          (String.concat ", " (List.map pj is)),
+        List.map (fun i -> query ~solution ?fixed_n problems.(i)) is )
+    in
+    let plan id ?(solution = Protocol.Ml_opt) ?fixed_n i =
+      ( Printf.sprintf {|{"id": %d, "op": "plan", "solution": "%s", %s"problem": %s}|} id
+          (Protocol.solution_to_string solution)
+          (match fixed_n with
+          | Some n -> Printf.sprintf {|"fixed_n": %.17g, |} n
+          | None -> "")
+          (pj i),
+        [ query ~solution ?fixed_n problems.(i) ] )
+    in
+    [ sweep 1 0 (values offset 8 3e3);
+      batch 2 ~fixed_n:(2e4 +. offset) [ 1; 2; 3 ];
+      batch 3 [ 0; 1 ];
+      plan 4 ~solution:Protocol.Ml_ori 1;
+      plan 5 ~solution:Protocol.Sl_opt ~fixed_n:(3e4 +. offset) 2;
+      batch 7 ~solution:Protocol.Sl_opt ~fixed_n:(4e4 +. offset) [ 0; 1; 2; 3 ];
+      sweep 6 3 (values (offset +. 5e3) 12 4e3) ]
+  in
+  let points line =
+    let r = Json.parse line in
+    match Json.list_field "results" r with Some points -> points | None -> [ r ]
+  in
+  let plan_of point =
+    match Option.map Codec.plan_of_json (Json.member "plan" point) with
+    | Some (Ok plan) -> plan
+    | _ -> QCheck.Test.fail_reportf "no plan in %s" (Json.to_string point)
+  in
+  let check (q : Protocol.query) point =
+    let p = q.Protocol.problem and fixed_n = q.Protocol.fixed_n in
+    let sl = Optimizer.single_level_problem p in
+    let plan = plan_of point in
+    match Json.string_field "fallback" point with
+    | None ->
+        Oracle.plan_equiv plan
+          (match q.Protocol.solution with
+          | Protocol.Sl_opt -> Oracle.solve_confirmed ?fixed_n sl
+          | Protocol.Ml_ori ->
+              Oracle.solve_confirmed
+                ~fixed_n:
+                  (Option.value fixed_n
+                     ~default:(Speedup.search_upper_bound p.Optimizer.speedup ~default:1e9))
+                p
+          | _ -> Oracle.solve_confirmed ?fixed_n p)
+    | Some "sl-opt" -> Oracle.plan_equiv plan (Oracle.solve_confirmed ?fixed_n sl)
+    | Some "sl-ori" -> plan = Optimizer.sl_ori_scale ?n:fixed_n p
+    | Some other -> QCheck.Test.fail_reportf "unexpected fallback %s" other
+  in
+  QCheck.Test.make ~name:"solver chaos: 0/2 workers agree, plans match the oracle" ~count:10
+    QCheck.(make Gen.(triple (int_range 0 100_000) (float_range 0.1 0.4) (float_range 0. 1e3)))
+    (fun (seed, rate, offset) ->
+      let traffic = traffic offset in
+      let lines = List.map fst traffic in
+      let run workers =
+        let chaos =
+          Chaos.create
+            { Chaos.disabled with
+              Chaos.seed;
+              solver_diverge = rate /. 2.;
+              solver_non_finite = rate /. 2. }
+        in
+        let resilience = { Planner.default_resilience with Planner.max_attempts = 2 } in
+        fst (run_service ~chaos ~resilience ~workers ~batch:(List.length lines) lines)
+      in
+      let r0 = run 0 in
+      if r0 <> run 2 then QCheck.Test.fail_report "responses differ at 0 and 2 workers";
+      List.for_all2
+        (fun (_, queries) line -> List.for_all2 check queries (points line))
+        traffic r0)
 
 let well_formed line =
   let r = Json.parse line in
@@ -369,4 +486,5 @@ let () =
        [ Alcotest.test_case "responses independent of worker count" `Quick
            test_worker_count_independence;
          Alcotest.test_case "chaos off is byte-identical" `Quick test_chaos_off_byte_identity;
-         Alcotest.test_case "soak: 1k requests at 10% faults" `Quick test_soak ]) ]
+         Alcotest.test_case "soak: 1k requests at 10% faults" `Quick test_soak ]);
+      ("properties", [ QCheck_alcotest.to_alcotest qcheck_solver_chaos_against_oracle ]) ]

@@ -21,6 +21,7 @@ module Rng = Ckpt_numerics.Rng
 module Dist = Ckpt_numerics.Dist
 module Draw_buffer = Ckpt_fastpath.Draw_buffer
 module Pool = Ckpt_parallel.Pool
+open Oracle
 
 let table2_cases =
   [ "16-12-8-4"; "8-6-4-2"; "4-3-2-1"; "16-8-4-2"; "8-4-2-1"; "4-2-1-0.5" ]
@@ -46,66 +47,6 @@ let params_of (p : Optimizer.problem) ~estimate =
               (Failure_spec.rate_per_second' p.Optimizer.spec ~level:(i + 1)
               *. estimate)
             ()) }
-
-(* Bitwise float equality: NaN = NaN, 0. <> -0. — exactly the contract
-   the fastpath promises. *)
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-(* Relative closeness that also accepts two identical non-finite values
-   (a divergent plan must stay divergent on both paths). *)
-let rel_close ?(tol = 1e-9) a b =
-  same_bits a b
-  || Float.abs (a -. b)
-     <= tol *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
-
-(* Plan equivalence: the accelerated solver must land on the reference's
-   plan without matching its trajectory.  [strict_n] (the deterministic
-   Table II cases) demands the exact same integer scale; random problems
-   additionally tolerate a |dn| <= 0.5 straddle, since an optimum
-   sitting within the scale tolerance of a rounding boundary can
-   legitimately land on either side. *)
-let plan_equiv ?(strict_n = false) (a : Optimizer.plan) (b : Optimizer.plan) =
-  let n_ok =
-    Float.round a.Optimizer.n = Float.round b.Optimizer.n
-    || ((not strict_n) && Float.abs (a.Optimizer.n -. b.Optimizer.n) <= 0.5)
-  in
-  Array.length a.Optimizer.xs = Array.length b.Optimizer.xs
-  && n_ok
-  && rel_close a.Optimizer.wall_clock b.Optimizer.wall_clock
-  && a.Optimizer.converged = b.Optimizer.converged
-
-(* The plan-equivalence oracle: [solve_reference] resumed from its own
-   plan until the integer scale and E(T_w) repeat.  The reference stops
-   on the paper's rule, mu drift <= delta, and a free scale can meet it
-   by coincidence — N falling while E(T_w) rises leaves
-   mu = lambda(N) E(T_w) still — short of its own fixed point, with
-   E(T_w) up to ~1e-6 relative off.  Resumed, it moves on to the fixed
-   point, which is where the accelerated solver lands; a plan that does
-   not repeat within five resumes fails the test. *)
-let solve_confirmed ?delta ?fixed_n p =
-  let rec confirm (plan : Optimizer.plan) resumes =
-    let next = Optimizer.solve_reference ?delta ?fixed_n ~warm:plan p in
-    if
-      Float.round next.Optimizer.n = Float.round plan.Optimizer.n
-      && rel_close next.Optimizer.wall_clock plan.Optimizer.wall_clock
-    then next
-    else if resumes >= 5 then
-      Alcotest.failf
-        "reference plan did not repeat within 5 resumes (n %.17g -> %.17g, Ew \
-         %h -> %h)"
-        plan.Optimizer.n next.Optimizer.n plan.Optimizer.wall_clock
-        next.Optimizer.wall_clock
-    else confirm next (resumes + 1)
-  in
-  confirm (Optimizer.solve_reference ?delta ?fixed_n p) 1
-
-let check_equiv_plan ?strict_n msg (a : Optimizer.plan) (b : Optimizer.plan) =
-  if not (plan_equiv ?strict_n a b) then
-    Alcotest.failf
-      "%s: fastpath plan not equivalent to reference (n %.17g vs %.17g, Ew %h \
-       vs %h, converged %b vs %b)"
-      msg a.Optimizer.n b.Optimizer.n a.Optimizer.wall_clock
-      b.Optimizer.wall_clock a.Optimizer.converged b.Optimizer.converged
 
 (* ---------------- draw buffer units ---------------- *)
 
@@ -385,6 +326,38 @@ let test_solve_batch_mixed () =
     (solve_confirmed p);
   Alcotest.(check int) "empty batch" 0 (Array.length (Optimizer.solve_batch [||]))
 
+(* Two problems parsed from the same JSON have equal level arrays that
+   are not shared.  Warm starts across rows need the same hierarchy
+   physically, so neither row seeds the other — the batch must not
+   compare the arrays structurally (each level carries overhead-law
+   closures, which [compare] refuses) — and each row is bitwise the
+   plan its own one-row solve returns. *)
+let test_separately_parsed_rows () =
+  let text = Ckpt_json.Json.to_string (Codec.problem_to_json (problem ())) in
+  let parse () =
+    match Codec.problem_of_json (Ckpt_json.Json.parse text) with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let a = parse () and b = parse () and c = parse () in
+  Alcotest.(check bool) "level arrays not shared" false
+    (a.Optimizer.levels == b.Optimizer.levels || b.Optimizer.levels == c.Optimizer.levels);
+  let bits (plan : Optimizer.plan) = Marshal.to_string plan [] in
+  let rows =
+    [| Optimizer.batch_job ~fixed_n:2e5 a;
+       Optimizer.batch_job ~fixed_n:2.1e5 b;
+       Optimizer.batch_job c |]
+  in
+  let plans = Optimizer.solve_batch rows in
+  Array.iteri
+    (fun i (j : Optimizer.batch_job) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "row %d = its one-row solve, bitwise" i)
+        true
+        (bits plans.(i)
+        = bits (Optimizer.solve ?fixed_n:j.Optimizer.fixed_n j.Optimizer.problem)))
+    rows
+
 (* ---------------- batched simulation across worker counts ------------- *)
 
 let test_batched_replication_outcomes () =
@@ -472,7 +445,9 @@ let () =
             test_oracle_stops_short ] );
       ( "bit-identity",
         [ Alcotest.test_case "E(Tw) evaluation" `Quick
-            test_wall_clock_fast_bit_identical ] );
+            test_wall_clock_fast_bit_identical;
+          Alcotest.test_case "separately parsed hierarchies solve alone" `Quick
+            test_separately_parsed_rows ] );
       ( "simulation",
         [ Alcotest.test_case "batched replication at 1/2/4 workers" `Quick
             test_batched_replication_outcomes ] );

@@ -543,8 +543,10 @@ let test_service_sweep_cache_and_order () =
   Alcotest.(check int) "8 queries" 8 s.Metrics.queries;
   Alcotest.(check int) "6 solves" 6 s.Metrics.solves;
   Alcotest.(check int) "2 cache hits" 2 s.Metrics.cache_hits;
-  (* The swept plans must equal direct sequential solves. *)
-  let direct n = Planner.run_query (query ~fixed_n:n base_problem) in
+  (* A sweep's points share one problem, so they warm-start from each
+     other: each plan must be plan-equivalent to the confirmed reference
+     solve of its point (byte-identity across worker counts is the fig5
+     test's). *)
   let sweep1 = List.nth responses 0 in
   (match Json.list_field "results" sweep1 with
   | Some points ->
@@ -552,9 +554,10 @@ let test_service_sweep_cache_and_order () =
         (fun v point ->
           match Option.map Codec.plan_of_json (Json.member "plan" point) with
           | Some (Ok plan) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "parallel plan at n=%g bit-identical" v)
-                true (plan = direct v)
+              Oracle.check_equiv_plan ~strict_n:true
+                (Printf.sprintf "swept plan at n=%g" v)
+                plan
+                (Oracle.solve_confirmed ~fixed_n:v base_problem)
           | _ -> Alcotest.fail "sweep point has no plan")
         coarse points
   | None -> Alcotest.fail "sweep response has no results");
@@ -565,6 +568,38 @@ let test_service_sweep_cache_and_order () =
       Alcotest.(check (option (float 1e-9))) "hit rate reported" (Some 0.25)
         (Json.float_field "hit_rate" cache)
   | None -> Alcotest.fail "stats response has no cache section"
+
+(* Every answer is byte-identical for any worker count: the planner cuts
+   a batch's misses into segments by the rows alone, never by pool
+   size.  The Fig. 5 session — 1,006 sweep points over five sweeps of
+   one shared problem each, plus a simulate-validate — goes through as
+   one batch (its stats line, which carries timings, left out). *)
+let test_fig5_worker_count_identity () =
+  let path =
+    if Sys.file_exists "examples/fig5_sweep.jsonl" then "examples/fig5_sweep.jsonl"
+    else "../examples/fig5_sweep.jsonl"
+  in
+  let lines =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && Json.string_field "op" (Json.parse l) <> Some "stats")
+  in
+  Alcotest.(check int) "six request lines" 6 (List.length lines);
+  let run workers =
+    let service = Service.create ~workers () in
+    Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+    Service.handle_batch_lines service lines
+  in
+  let one = run 1 in
+  List.iter
+    (fun workers ->
+      List.iteri
+        (fun i (a, b) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "line %d: %d workers = 1 worker" i workers)
+            true (a = b))
+        (List.combine one (run workers)))
+    [ 0; 2; 4 ]
 
 (* Acceptance-shaped property: a batch through 4 workers equals the same
    batch through a worker-less service and direct sequential solves. *)
@@ -998,7 +1033,10 @@ let () =
        [ Alcotest.test_case "cache + in-batch dedup" `Quick test_planner_cache_and_dedup;
          Alcotest.test_case "key covers solver options" `Quick test_planner_key_varies_with_options ]);
       ("service",
-       [ Alcotest.test_case "sweep order, cache, bit-identical" `Quick test_service_sweep_cache_and_order;
+       [ Alcotest.test_case "sweep order, cache, plan-equivalent" `Quick
+           test_service_sweep_cache_and_order;
+         Alcotest.test_case "fig5 answers identical at 0/1/2/4 workers" `Quick
+           test_fig5_worker_count_identity;
          Alcotest.test_case "error isolation" `Quick test_service_error_isolation;
          Alcotest.test_case "simulate-validate" `Quick test_service_simulate_validate;
          Alcotest.test_case "parallel speedup (multi-core only)" `Slow

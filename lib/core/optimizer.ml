@@ -204,12 +204,14 @@ let solve_reference ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9)
 
    Every evaluation kernel and fill is bit-identical to its closure-
    evaluated [Multilevel] reference; the iteration itself is accelerated
-   — ITP for the Eq. 24 scale search, seeded from the previous inner
-   iterate, safeguarded Aitken on the xs fixed point, Anderson(1) secant
-   steps and warm-seeded outer rounds, plus cross-row warm starts in a
-   batch — so each plan is plan-equivalent to
-   [solve_reference] of the same job (same integer scale, E(T_w) within
-   1e-9 relative), which test/test_fastpath.ml property-tests. *)
+   — ITP for the Eq. 24 scale search on one bisection lattice, seeded
+   from the previous inner iterate, safeguarded Aitken on the xs fixed
+   point, Newton steps on the outer estimate with the derivative read
+   off each round's plan, warm-seeded and inexact early rounds confirmed
+   by a cold one, plus cross-row warm starts in a batch — so each plan
+   is plan-equivalent to [solve_reference] of the same job (same integer
+   scale, E(T_w) within 1e-9 relative), which test/test_fastpath.ml
+   property-tests. *)
 
 module Batch = Ckpt_fastpath.Batch
 
@@ -280,28 +282,24 @@ let batch_fill b (p : problem) ~row n =
    one plain bisection finds (at the same xs) in a fraction of the
    Eq. 24 evaluations.
 
-   The search is seeded from the scale iterate N in [slot_n].  Between
-   inner iterations N mostly moves by less than 0.5, so f is probed at
-   N - 0.5 and N + 0.5 first.  When the two straddle the root they go
+   The search is seeded from the scale iterate N in [slot_n]: the
+   previous inner iterate, or on a round's first search the scale the
+   round resumes from.  N mostly moves by less than 0.5, so f is probed
+   at N - 0.5 and N + 0.5 first.  When the two straddle the root they go
    to [itp_integer] as its [inner] bracket; when they do not, their
    signs say on which side the root lies, and steps doubling outward
    from N/256 find a bracket there.  Either way the f(n_hi) and f(1)
    endpoint probes are skipped (or paid only where the stepping reaches
-   an end) while the replay still runs over [1, n_hi]: the same
-   bisection lattice, so the same root bits, as long as f changes sign
-   once on [1, n_hi] — the contract [itp_integer] already relies on.
-   A seed that does not fit inside [1, n_hi], as on a cold round's first
-   search from n_hi, or that hits an exact zero, falls back to the
-   endpoint probes.
-
-   [widen] marks a warm round's first search, whose iterate is a
-   neighbouring plan's scale: its lattice is the bracket that grows
-   geometrically around N until f changes sign.  A straddling seed
-   shows the first bracket [N/2, 2N] already does, so it is passed as
-   the inner bracket of that lattice; a missing seed falls back.
+   an end) while the replay always runs over [1, n_hi]: one bisection
+   lattice, so the root's bits depend on xs alone and never on the
+   seed, as long as f changes sign once on [1, n_hi] — the contract
+   [itp_integer] already relies on.  A converged row re-solved from its
+   own plan therefore lands on the same scale bits.  A seed that does
+   not fit inside [1, n_hi], as on a cold round's first search from
+   n_hi, or that hits an exact zero, falls back to the endpoint probes.
 
    Leaves the row filled at the returned scale. *)
-let batch_solve_scale b p ~widen ~row ~n_hi () =
+let batch_solve_scale b p ~row ~n_hi () =
   let s = b.Batch.s in
   let n = s.(Batch.slot_n) in
   let f n =
@@ -309,30 +307,16 @@ let batch_solve_scale b p ~widen ~row ~n_hi () =
     batch_fill b p ~row n;
     Batch.d_dn b ~row ~te:p.te ~alloc:p.alloc
   in
-  let itp ?flo ?fhi ?inner lo hi =
-    (Ckpt_numerics.Roots.itp_integer ?flo ?fhi ?inner ~f ~lo ~hi ())
+  let itp ?flo ?fhi ?inner () =
+    (Ckpt_numerics.Roots.itp_integer ?flo ?fhi ?inner ~f ~lo:1. ~hi:n_hi ())
       .Ckpt_numerics.Roots.root
   in
-  (* A warm round's first bracket, before any growing. *)
-  let widen_lo = Float.max 1. (n /. 2.) and widen_hi = Float.min n_hi (n *. 2.) in
   let unseeded () =
     let f_hi = f n_hi in
     if f_hi <= 0. then n_hi
     else begin
       let f_1 = f 1. in
-      if f_1 >= 0. then 1.
-      else if widen && n > 1. && n < n_hi then begin
-        let rec grow lo hi =
-          let flo = f lo and fhi = f hi in
-          if flo < 0. && fhi > 0. then itp ~flo ~fhi lo hi
-          else
-            let lo' = if flo < 0. then lo else Float.max 1. (lo /. 4.) in
-            let hi' = if fhi > 0. then hi else Float.min n_hi (hi *. 4.) in
-            grow lo' hi'
-        in
-        grow widen_lo widen_hi
-      end
-      else itp ~flo:f_1 ~fhi:f_hi 1. n_hi
+      if f_1 >= 0. then 1. else itp ~flo:f_1 ~fhi:f_hi ()
     end
   in
   (* The root lies above [x], where f is negative: step up until f
@@ -341,11 +325,11 @@ let batch_solve_scale b p ~widen ~row ~n_hi () =
     let y = x +. step in
     if y >= n_hi then begin
       let f_hi = f n_hi in
-      if f_hi <= 0. then n_hi else itp ~inner:(x, fx, n_hi, f_hi) 1. n_hi
+      if f_hi <= 0. then n_hi else itp ~inner:(x, fx, n_hi, f_hi) ()
     end
     else begin
       let fy = f y in
-      if fy > 0. then itp ~inner:(x, fx, y, fy) 1. n_hi
+      if fy > 0. then itp ~inner:(x, fx, y, fy) ()
       else if fy < 0. then up y fy (2. *. step)
       else unseeded ()
     end
@@ -356,11 +340,11 @@ let batch_solve_scale b p ~widen ~row ~n_hi () =
     let y = x -. step in
     if y <= 1. then begin
       let f_1 = f 1. in
-      if f_1 >= 0. then 1. else itp ~inner:(1., f_1, x, fx) 1. n_hi
+      if f_1 >= 0. then 1. else itp ~inner:(1., f_1, x, fx) ()
     end
     else begin
       let fy = f y in
-      if fy < 0. then itp ~inner:(y, fy, x, fx) 1. n_hi
+      if fy < 0. then itp ~inner:(y, fy, x, fx) ()
       else if fy > 0. then down y fy (2. *. step)
       else unseeded ()
     end
@@ -372,24 +356,24 @@ let batch_solve_scale b p ~widen ~row ~n_hi () =
     let f_below = f below in
     if f_below < 0. then begin
       let f_above = f above in
-      if f_above > 0. then
-        let inner = (below, f_below, above, f_above) in
-        if widen then itp ~inner widen_lo widen_hi else itp ~inner 1. n_hi
-      else if f_above < 0. && not widen then up above f_above step
+      if f_above > 0. then itp ~inner:(below, f_below, above, f_above) ()
+      else if f_above < 0. then up above f_above step
       else unseeded ()
     end
-    else if f_below > 0. && not widen then down below f_below step
+    else if f_below > 0. then down below f_below step
     else unseeded ()
   end
 
 (* The inner optimizer on one row: [Multilevel.optimize_reference]'s
-   iteration (tol 1e-6, at most 10,000 iterations) accelerated.  The
-   solved scale lands in [slot_n] and its E(T_w) in [slot_wall]; returns
-   the iteration count, with the converged flag as the sign bit (a tuple
-   or closure here would allocate once per outer round).  The loop and
-   its finisher are top-level functions, and the scale iterate and
-   Aitken state ride in scalar slots, because local closures and float
-   loop arguments allocate per call under the non-flambda compiler. *)
+   iteration (at most 10,000 iterations) accelerated, stopping once the
+   xs step is at most the round's tolerance in [slot_tol] and the scale
+   moved by at most 0.5.  The solved scale lands in [slot_n] and its
+   E(T_w) in [slot_wall]; returns the iteration count, with the
+   converged flag as the sign bit (a tuple or closure here would
+   allocate once per outer round).  The loop and its finisher are
+   top-level functions, and the scale iterate, tolerance and Aitken
+   state ride in scalar slots, because local closures and float loop
+   arguments allocate per call under the non-flambda compiler. *)
 let batch_opt_finish b p ~row n iter converged =
   batch_fill b p ~row n;
   b.Batch.s.(Batch.slot_n) <- n;
@@ -410,8 +394,7 @@ let batch_opt_finish b p ~row n iter converged =
    plain iteration would have produced.
 
    Each free-scale search starts from the scale the sweep just ran at
-   ([slot_n]): a warm round's first widens around that neighbouring
-   plan's scale, every later one probes its ±0.5 neighbourhood first
+   ([slot_n]) and probes its ±0.5 neighbourhood first
    ([batch_solve_scale]).  The seed changes which probes are evaluated,
    never the root. *)
 let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
@@ -425,7 +408,7 @@ let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
     let n' =
       match fixed_n with
       | Some n -> n
-      | None -> batch_solve_scale b p ~widen:(hinted && iter = 0) ~row ~n_hi ()
+      | None -> batch_solve_scale b p ~row ~n_hi ()
     in
     let dx = Batch.max_abs_diff_xs b ~row in
     let pending = s.(Batch.slot_accel) = 1. in
@@ -442,7 +425,7 @@ let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
     end
     else begin
       s.(Batch.slot_hist) <- (if pending then 0. else s.(Batch.slot_hist) +. 1.);
-      if dx <= 1e-6 && Float.abs (n' -. n) <= 0.5 then
+      if dx <= s.(Batch.slot_tol) && Float.abs (n' -. n) <= 0.5 then
         batch_opt_finish b p ~row n' (iter + 1) true
       else begin
         s.(Batch.slot_n) <- n';
@@ -468,8 +451,8 @@ let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
    across rounds.  [warm] skips the Young restart: the xs stripe and
    [slot_n] already hold a neighbouring solution (the previous outer
    round's, or a seeded plan), so the iteration resumes from it and the
-   round's first scale search widens around it.  A cold round starts at
-   n_hi with Young's intervals. *)
+   round's first scale search is seeded with its scale.  A cold round
+   starts at n_hi with Young's intervals. *)
 let batch_optimize b p ~row ~warm fixed_n ~n_hi =
   b.Batch.key.(row) <- nan;
   let s = b.Batch.s in
@@ -488,23 +471,37 @@ let batch_optimize b p ~row ~warm fixed_n ~n_hi =
 (* Algorithm 1's outer loop on one row, allocation-free until the final
    plan record: re-estimate mu_i = lambda_i(N) * E(T_w) from each round's
    solution until the mu drift falls under [delta].  The wall-clock
-   estimate rides in [slot_est]; the f_evals/fallbacks counters
-   accumulate in their slots across rounds (reset once in
-   [solve_batch_row]); [prev_valid] says whether the [prev_mu] stripe
-   holds a drift reference.
+   estimate rides in [slot_est] and the round's inner tolerance in
+   [slot_tol]; the f_evals/fallbacks counters accumulate in their slots
+   across rounds (reset once in [solve_batch_row]); [prev_valid] says
+   whether the [prev_mu] stripe holds a drift reference.
 
-   Anderson(1): the outer iteration is a smooth scalar fixed point
-   e -> G(e) whose residual r(e) = G(e) - e is evaluated once per round
-   for free, so a secant step on r converges superlinearly where the
-   plain orbit contracts geometrically.  [pe]/[pr] carry the previous
-   round's iterate and residual ([nan] = no history yet).
+   Newton steps on the estimate: a round maps e to G(e), the optimal
+   E(T_w) when the mu slopes are lambda'_i * e.  At fixed (xs, N),
+   Eq. 21 is affine in e through its mu terms, so by the envelope
+   theorem G'(e) = F/e, with F the failure part of the round's plan
+   (restart + allocation + rollback): E(T_w) - T_e/g - sum C_i (x_i - 1),
+   read off the row filled at the solved scale.  The next estimate is
+   e + r/(1 - G') on the residual r = G(e) - e, at no evaluation beyond
+   the round itself.
+
+   Inexact rounds: while the residual is large the next round's fixed
+   point is solved only as tightly as it warrants, to an xs step of
+   max(1e-6, 0.1 |r|/e) (0.1 on a row's first round); the sticky [cold]
+   rounds below always solve to 1e-6.
 
    [warm] seeds each round from the previous round's solution while the
    mu drift keeps beating its best ([best_drift]); after two
    non-improving rounds ([stall]) the solve finishes on sticky [cold]
-   rounds, the reference's discipline. *)
+   rounds, the reference's discipline.  A free-scale row whose warm
+   round meets the drift test finishes on cold rounds too, until a cold
+   round meets it: a cold round is a function of the estimate alone, so
+   the returned scale cannot depend on the seeding path (the warm
+   endgame's tol-sized xs noise can tip an optimum that sits near a
+   bisection-cell boundary into the neighbouring cell).  A row with a
+   [fixed_n] has no scale lattice and finishes on its warm round. *)
 let rec batch_outer b ~row ~delta ~max_outer ~n_hi (p : problem) fixed_n
-    prev_valid warm pe pr best_drift stall cold outer inner =
+    prev_valid warm best_drift stall cold outer inner =
   let off = row * b.Batch.stride in
   let nl = Array.length p.levels in
   let s = b.Batch.s in
@@ -536,7 +533,8 @@ let rec batch_outer b ~row ~delta ~max_outer ~n_hi (p : problem) fixed_n
           *. estimate'
       done;
       let drift = if prev_valid then Batch.mu_drift b ~row else infinity in
-      if drift <= delta || outer + 1 >= max_outer then begin
+      let confirm = warm && Option.is_none fixed_n in
+      if (drift <= delta && not confirm) || outer + 1 >= max_outer then begin
         let sol =
           { Multilevel.xs = Batch.xs_copy b ~row;
             n = n_sol;
@@ -552,57 +550,61 @@ let rec batch_outer b ~row ~delta ~max_outer ~n_hi (p : problem) fixed_n
           ~converged
       end
       else begin
-        (* The secant step is gated a priori — finite, positive, and
-           within three plain steps of G(e) — and degrades to the plain
-           step G(e) otherwise, so nothing is ever evaluated twice or
-           reverted; on a divergent problem the estimate escapes to
-           infinity on plain steps exactly like the reference. *)
+        (* The Newton step is gated a priori — G' < 1, and the step
+           finite, positive and within three plain steps of G(e) — and
+           degrades to the plain step G(e) otherwise, so nothing is ever
+           evaluated twice or reverted; on a divergent problem the
+           estimate escapes to infinity on plain steps exactly like the
+           reference. *)
         let r = estimate' -. estimate in
-        let e_next =
-          if Float.is_finite pr && Float.abs r < Float.abs pr then begin
-            let cand = estimate -. (r *. (estimate -. pe) /. (r -. pr)) in
-            if
-              Float.is_finite cand && cand > 0.
-              && Float.abs (cand -. estimate') <= 3. *. Float.abs r
-            then cand
-            else estimate'
-          end
-          else estimate'
-        in
-        s.(Batch.slot_est) <- e_next;
+        s.(Batch.slot_acc) <- estimate' -. (p.te /. s.(Batch.slot_g));
+        for i = off to off + nl - 1 do
+          s.(Batch.slot_acc) <-
+            s.(Batch.slot_acc) -. (b.Batch.ci.(i) *. (b.Batch.xs.(i) -. 1.))
+        done;
+        let g' = s.(Batch.slot_acc) /. estimate in
+        let newton = estimate +. (r /. (1. -. g')) in
+        s.(Batch.slot_est) <-
+          (if
+             g' < 1. && Float.is_finite newton && newton > 0.
+             && Float.abs (newton -. estimate') <= 3. *. Float.abs r
+           then newton
+           else estimate');
         Batch.commit_mus b ~row;
-        if cold then
+        (* An infinite best just means there is no previous round to
+           compare against (mu values are finite whenever the estimate
+           is), so it cannot be stagnation. *)
+        let improving = (not (Float.is_finite best_drift)) || drift < best_drift in
+        let next_cold = cold || drift <= delta || ((not improving) && stall > 0) in
+        s.(Batch.slot_tol) <-
+          (if next_cold then 1e-6
+           else Float.max 1e-6 (0.1 *. Float.abs r /. estimate));
+        if next_cold then
+          (* Sticky cold rounds: the confirmation of a warm fixed point,
+             or the warm-seeding noise floor after two stalls — the
+             seeded inner solves stop inside a tol-sized ball whose
+             position depends on the seeding path, so the measured drift
+             can fall no further.  Cold rounds are a deterministic
+             function of the estimate, so their drift keeps contracting
+             to delta; the Newton steps keep running. *)
           batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n true false
-            estimate r infinity 0 true (outer + 1) inner
-        else if (not (Float.is_finite best_drift)) || drift < best_drift then
-          (* An infinite best just means there is no previous round to
-             compare against (mu values are finite whenever the estimate
-             is), so it cannot be stagnation.  Near the fixed point
-             E(T_w) is flat in xs (first-order conditions), so resuming
-             from this round's solution — already in the xs stripe and
-             [slot_n] — perturbs the next round only to second order in
-             the inner tolerance, far below delta, while its inner solve
-             converges in a handful of iterations.  The drift must keep
-             beating its best for this to stay sound, which is checked,
-             not assumed. *)
-          batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n true true
-            estimate r drift 0 false (outer + 1) inner
-        else if stall = 0 then
+            infinity 0 true (outer + 1) inner
+        else if improving then
+          (* Near the fixed point E(T_w) is flat in xs (first-order
+             conditions), so resuming from this round's solution —
+             already in the xs stripe and [slot_n] — perturbs the next
+             round only to second order in the inner tolerance, far below
+             delta, while its inner solve converges in a handful of
+             iterations.  The drift must keep beating its best for this
+             to stay sound, which is checked, not assumed. *)
+          batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n true true drift
+            0 false (outer + 1) inner
+        else
           (* One non-improving round is a normal transient of a
              contraction measured through a tol-bounded inner solve:
              stay warm, remember the stall. *)
           batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n true true
-            estimate r best_drift 1 false (outer + 1) inner
-        else
-          (* Two stalls in a row: the warm-seeding noise floor — the
-             seeded inner solves stop inside a tol-sized ball whose
-             position depends on the seeding path, so the measured drift
-             can fall no further.  Finish on sticky cold rounds, which
-             are a deterministic function of the estimate, so their
-             drift keeps contracting to delta; the secant steps keep
-             running. *)
-          batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n true false
-            estimate r infinity 0 true (outer + 1) inner
+            best_drift 1 false (outer + 1) inner
       end
     end
   end
@@ -627,6 +629,7 @@ let solve_batch_row b ~row ~max_outer ~n_max ?warm (j : batch_job) =
   let s = b.Batch.s in
   s.(Batch.slot_fevals) <- 0.;
   s.(Batch.slot_fallbacks) <- 0.;
+  s.(Batch.slot_tol) <- 0.1;
   match usable_warm p warm with
   | Some w ->
       let off = row * b.Batch.stride in
@@ -645,8 +648,8 @@ let solve_batch_row b ~row ~max_outer ~n_max ?warm (j : batch_job) =
       s.(Batch.slot_n) <-
         (if Float.is_finite w.n && w.n >= 1. then w.n else n_hi);
       s.(Batch.slot_est) <- w.wall_clock;
-      batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n prev_valid true nan
-        nan infinity 0 false 0 0
+      batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n prev_valid true
+        infinity 0 false 0 0
   | None ->
       let productive () =
         let n0 = match fixed_n with Some n -> n | None -> n_hi in
@@ -659,8 +662,8 @@ let solve_batch_row b ~row ~max_outer ~n_max ?warm (j : batch_job) =
         | _ -> (productive (), max_outer)
       in
       s.(Batch.slot_est) <- estimate;
-      batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n false false nan nan
-        infinity 0 false 0 0
+      batch_outer b ~row ~delta ~max_outer ~n_hi p fixed_n false false infinity
+        0 false 0 0
 
 (* Row 0 of this domain's batch, sized for [p] alone. *)
 let reserve_one (p : problem) =

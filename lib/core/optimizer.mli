@@ -68,24 +68,36 @@ val solve :
     whose wall clock is not finite-positive is ignored.  Warm starting
     moves only the starting point of the contraction, so the returned
     plan matches a cold solve to the solver tolerances while spending
-    fewer iterations.
+    fewer iterations.  A converged plan is a fixed point: re-solved from
+    itself, a problem returns the same scale bits in at most two outer
+    rounds.
 
     The solve is a one-row {!solve_batch}: it runs on row 0 of the same
     per-domain {!Ckpt_fastpath.Batch} workspace, so inner iterations do
     no heap allocation, and neither function may be re-entered within a
-    domain.  It runs accelerated end to end: an ITP Eq. 24 scale search
-    (superlinear, with the bisection recurrence replayed exactly over
-    the refined bracket) and safeguarded Aitken extrapolation of the xs
-    fixed point inside each round (reverted, and counted in
-    [fallbacks], whenever an extrapolated iterate fails to reduce the
-    residual), Anderson(1) secant steps on the outer wall-clock estimate
-    (gated a priori, degrading to the plain fixed-point step), and
-    warm-seeded outer rounds — each round resumes from the previous
-    round's solution while the mu drift keeps contracting, switching to
-    the reference's cold-round discipline for the endgame once the
-    warm-seeding noise floor is reached.  The contract against
-    {!solve_reference} is plan equivalence: same integer scale, E(T_w)
-    within 1e-9 relative. *)
+    domain.  It runs accelerated end to end:
+    - an ITP Eq. 24 scale search (superlinear, with the bisection
+      recurrence replayed exactly over [1, n_hi], so every search of
+      every round lands on one lattice and the scale is a function of
+      the xs alone);
+    - safeguarded Aitken extrapolation of the xs fixed point inside
+      each cold round (reverted, and counted in [fallbacks], whenever
+      an extrapolated iterate fails to reduce the residual);
+    - Newton steps on the outer wall-clock estimate, whose derivative
+      G'(e) = F/e comes free from the round's plan (F the restart,
+      allocation and rollback part of E(T_w), by the envelope theorem),
+      gated a priori and degrading to the plain fixed-point step;
+    - warm-seeded outer rounds, each resuming from the previous round's
+      solution while the mu drift keeps contracting, and solved only as
+      tightly as the outer residual warrants (xs step
+      max(1e-6, 0.1 |r|/e));
+    - a free-scale solve ends on the reference's cold-round discipline:
+      once a warm round meets the drift test, cold rounds run until one
+      meets it too, so the returned scale does not depend on the
+      seeding path.  Two non-improving warm rounds also switch to cold
+      rounds.
+    The contract against {!solve_reference} is plan equivalence: same
+    integer scale, E(T_w) within 1e-9 relative. *)
 
 val solve_reference :
   ?delta:float ->

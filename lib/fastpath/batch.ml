@@ -51,10 +51,10 @@ type t = {
 
 (* Shared scalar slots: the speedup terms at the filled scale, kernel
    accumulators, and the per-row solve state ([slot_n], [slot_wall],
-   [slot_est], the counters and the Aitken state) that must not box
-   across loop iterations.  Scalars live in a float array because a
-   mutable float field of a mixed record (or a [float ref]) boxes on
-   every write under the non-flambda compiler. *)
+   [slot_est], the counters, the inner tolerance and the Aitken state)
+   that must not box across loop iterations.  Scalars live in a float
+   array because a mutable float field of a mixed record (or a
+   [float ref]) boxes on every write under the non-flambda compiler. *)
 let slot_g = 0
 let slot_gd = 1
 let slot_acc = 2
@@ -69,7 +69,8 @@ let slot_hist = 10
 let slot_accel = 11
 let slot_dxref = 12
 let slot_nsafe = 13
-let num_slots = 14
+let slot_tol = 14
+let num_slots = 15
 
 let create ?(rows = 16) ?(stride = 4) () =
   let rows = max 1 rows and stride = max 1 stride in

@@ -83,6 +83,10 @@ val slot_dxref : int
 val slot_nsafe : int
 (** Scale iterate paired with [xs_safe], restored on rejection. *)
 
+val slot_tol : int
+(** The current outer round's inner stop: the xs step at or below which
+    the round's fixed point counts as converged. *)
+
 val num_slots : int
 
 val create : ?rows:int -> ?stride:int -> unit -> t

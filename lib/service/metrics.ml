@@ -19,6 +19,14 @@ module Buffer = struct
   let to_array b = Array.sub b.data 0 b.len
 end
 
+type solver_work = {
+  rows : int;
+  inner_iterations : int;
+  outer_iterations : int;
+  f_evals : int;
+  fallbacks : int;
+}
+
 type t = {
   mutex : Mutex.t;
   started_at : float;
@@ -30,6 +38,7 @@ type t = {
   mutable degraded : int;
   mutable retries : int;
   mutable breaker_trips : int;
+  mutable solver : solver_work;
   solve_ms : Buffer.t;
   replan_ms : Buffer.t;
   batch_ms : Buffer.t;
@@ -48,6 +57,9 @@ let create () =
     degraded = 0;
     retries = 0;
     breaker_trips = 0;
+    solver =
+      { rows = 0; inner_iterations = 0; outer_iterations = 0; f_evals = 0;
+        fallbacks = 0 };
     solve_ms = Buffer.create ();
     replan_ms = Buffer.create ();
     batch_ms = Buffer.create () }
@@ -64,6 +76,17 @@ let incr_cache_miss t = locked t (fun () -> t.cache_misses <- t.cache_misses + 1
 let incr_degraded t = locked t (fun () -> t.degraded <- t.degraded + 1)
 let add_retries t n = locked t (fun () -> t.retries <- t.retries + n)
 let incr_breaker_trip t = locked t (fun () -> t.breaker_trips <- t.breaker_trips + 1)
+
+let add_solver_work t ~rows ~inner ~outer ~f_evals ~fallbacks =
+  locked t (fun () ->
+      let w = t.solver in
+      t.solver <-
+        { rows = w.rows + rows;
+          inner_iterations = w.inner_iterations + inner;
+          outer_iterations = w.outer_iterations + outer;
+          f_evals = w.f_evals + f_evals;
+          fallbacks = w.fallbacks + fallbacks })
+
 let record_solve_ms t ms = locked t (fun () -> Buffer.add t.solve_ms ms)
 let record_replan_ms t ms = locked t (fun () -> Buffer.add t.replan_ms ms)
 let record_batch_ms t ms = locked t (fun () -> Buffer.add t.batch_ms ms)
@@ -100,6 +123,7 @@ type snapshot = {
   degraded : int;
   retries : int;
   breaker_trips : int;
+  solver : solver_work;
   solves : int;
   solve_ms : series;
   replans : int;
@@ -124,6 +148,7 @@ let snapshot t =
         degraded = t.degraded;
         retries = t.retries;
         breaker_trips = t.breaker_trips;
+        solver = t.solver;
         solves = solve_ms.count;
         solve_ms;
         replans = replan_ms.count;
@@ -146,8 +171,9 @@ let series_json s =
           ("p95", Json.Number s.quantiles.p95);
           ("p99", Json.Number s.quantiles.p99) ]
 
-let to_json t =
+let to_json ?cache_evictions t =
   let s = snapshot t in
+  let count n = Json.Number (float_of_int n) in
   Json.Obj
     ([ ("uptime_s", Json.Number s.uptime_s);
       ("requests", Json.Number (float_of_int s.requests));
@@ -155,9 +181,20 @@ let to_json t =
       ("queries", Json.Number (float_of_int s.queries));
       ("cache",
        Json.Obj
-         [ ("hits", Json.Number (float_of_int s.cache_hits));
-           ("misses", Json.Number (float_of_int s.cache_misses));
-           ("hit_rate", Json.Number s.hit_rate) ]);
+         ([ ("hits", Json.Number (float_of_int s.cache_hits));
+            ("misses", Json.Number (float_of_int s.cache_misses));
+            ("hit_rate", Json.Number s.hit_rate) ]
+         @
+         match cache_evictions with
+         | Some n -> [ ("evictions", count n) ]
+         | None -> []));
+      ("solver",
+       Json.Obj
+         [ ("rows", count s.solver.rows);
+           ("inner_iterations", count s.solver.inner_iterations);
+           ("outer_iterations", count s.solver.outer_iterations);
+           ("f_evals", count s.solver.f_evals);
+           ("fallbacks", count s.solver.fallbacks) ]);
       ("solves", Json.Number (float_of_int s.solves));
       ("solve_ms", series_json s.solve_ms);
       ("replans", Json.Number (float_of_int s.replans));

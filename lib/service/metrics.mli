@@ -3,9 +3,10 @@
     One source of truth for everything the [stats] response and the
     shutdown report print: request/error/query counters, cache hit and
     miss totals (counted here, not in {!Lru_cache} — deduplication
-    within a batch also counts as a hit), and latency sample series
-    (solves, replans, whole batches) summarized with
-    {!Ckpt_numerics.Stats} plus p50/p90/p95/p99 quantiles.
+    within a batch also counts as a hit), the solver work behind the
+    served plans (iterations, Eq. 24 evaluations, fallbacks), and
+    latency sample series (solves, replans, whole batches) summarized
+    with {!Ckpt_numerics.Stats} plus p50/p90/p95/p99 quantiles.
 
     Every operation takes the internal mutex, so workers and the
     coordinator may record concurrently. *)
@@ -40,6 +41,11 @@ val add_retries : t -> int -> unit
 val incr_breaker_trip : t -> unit
 (** The circuit breaker opened (primary path suspended). *)
 
+val add_solver_work :
+  t -> rows:int -> inner:int -> outer:int -> f_evals:int -> fallbacks:int -> unit
+(** Solver work behind served plans: [rows] plans and the sums of their
+    inner/outer iteration, Eq. 24 evaluation and fallback counts. *)
+
 (** {1 Latency series} *)
 
 val record_solve_ms : t -> float -> unit
@@ -63,6 +69,15 @@ type series = {
   quantiles : quantiles;
 }
 
+type solver_work = {
+  rows : int;
+  inner_iterations : int;
+  outer_iterations : int;
+  f_evals : int;
+  fallbacks : int;
+}
+(** The {!add_solver_work} totals since {!create}. *)
+
 type snapshot = {
   uptime_s : float;
   requests : int;
@@ -74,6 +89,7 @@ type snapshot = {
   degraded : int;
   retries : int;
   breaker_trips : int;
+  solver : solver_work;
   solves : int;
   solve_ms : series;
   replans : int;
@@ -84,9 +100,10 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
-val to_json : t -> Ckpt_json.Json.t
-(** The [stats] payload: counters, cache ratios and latency summaries as
-    a JSON object.  A ["resilience"] block (degraded answers, retries,
+val to_json : ?cache_evictions:int -> t -> Ckpt_json.Json.t
+(** The [stats] payload: counters, cache ratios (with [cache_evictions]
+    as ["evictions"] when given), the ["solver"] work counters and
+    latency summaries as a JSON object.  A ["resilience"] block (degraded answers, retries,
     breaker trips) is appended only when at least one of those counters
     is nonzero, so healthy sessions serialize exactly as before. *)
 

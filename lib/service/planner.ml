@@ -376,6 +376,26 @@ let next_miss t query =
   t.seq <- seq + 1;
   { query; seq; skip }
 
+(* The solver work behind one solved batch's answers, added to the
+   metrics once, on the coordinator: a row per served plan (a degraded
+   answer counts its fallback's plan, a closed form zero iterations). *)
+let record_work t solved =
+  let rows = ref 0 and inner = ref 0 and outer = ref 0 in
+  let f_evals = ref 0 and fallbacks = ref 0 in
+  for i = 0 to Array.length solved - 1 do
+    match solved.(i) with
+    | _, Ok { Protocol.plan; _ }, _ ->
+        incr rows;
+        inner := !inner + plan.Optimizer.inner_iterations;
+        outer := !outer + plan.Optimizer.outer_iterations;
+        f_evals := !f_evals + plan.Optimizer.f_evals;
+        fallbacks := !fallbacks + plan.Optimizer.fallbacks
+    | _, Error _, _ -> ()
+  done;
+  if !rows > 0 then
+    Metrics.add_solver_work t.metrics ~rows:!rows ~inner:!inner ~outer:!outer
+      ~f_evals:!f_evals ~fallbacks:!fallbacks
+
 (* A replan solves a *fitted* problem: the template query's spec and
    overhead laws are replaced by the session estimates.  Never cached —
    the estimates move with every observe, so a fingerprint hit would
@@ -395,7 +415,9 @@ let replan t ~rates ~costs ~prior_strength (q : Protocol.query) =
   | exception Invalid_argument m -> Error (Protocol.error_v "invalid-request" m)
   | fitted ->
       let miss = next_miss t { q with Protocol.problem = fitted } in
-      let retries, outcome, ms = (solve_misses t [| miss |]).(0) in
+      let solved = solve_misses t [| miss |] in
+      record_work t solved;
+      let retries, outcome, ms = solved.(0) in
       Metrics.record_replan_ms t.metrics ms;
       fold_outcome t ~skipped:miss.skip ~retries outcome;
       Result.map (fun answer -> (answer, fitted)) outcome
@@ -440,6 +462,7 @@ let solve_batch ?pool t queries =
      the fallback chain (see [solve_misses]). *)
   let misses = Array.of_list (List.rev !miss_rev) in
   let solved = solve_misses ?pool t (Array.map snd misses) in
+  record_work t solved;
   (* Pass 3: record, fold breaker state in submission order, cache
      healthy plans (degraded answers are never cached — the primary
      might recover on the next miss), reassemble. *)

@@ -65,7 +65,11 @@ let set_persist_hook t hook = t.persist <- hook
 let set_stats_extra t extra = t.stats_extra <- extra
 
 let stats_json t =
-  let base = Metrics.to_json t.metrics in
+  let base =
+    Metrics.to_json
+      ~cache_evictions:(Sharded_cache.evictions (Planner.cache t.planner))
+      t.metrics
+  in
   match t.stats_extra with
   | None -> base
   | Some extra -> (

@@ -113,7 +113,8 @@ val handle_line_string : t -> string -> string
 
 val stats_json : t -> Ckpt_json.Json.t
 (** The current {!Metrics.to_json} payload (also served by the
-    [stats] op), with any {!set_stats_extra} fields appended. *)
+    [stats] op), its cache block carrying the plan cache's evictions,
+    with any {!set_stats_extra} fields appended. *)
 
 val set_persist_hook : t -> (string -> (unit, Protocol.error) result) option -> unit
 (** Durability gate for the stateful ops ([observe], [replan],

@@ -620,6 +620,56 @@ let qcheck_service_parallel_equals_sequential =
       in
       run 4 = run 0)
 
+(* [stats] reports the solver work behind the served plans and the plan
+   cache's evictions.  Twenty distinct cold free-scale plans, one line
+   each: the solver block's counters equal the sums over the plans
+   answered, and at a cache capacity of 8 (eight one-entry shards, all
+   of which these fingerprints reach) twelve entries were evicted. *)
+let test_service_stats_solver_work_and_evictions () =
+  let service = Service.create ~workers:0 ~cache_capacity:8 () in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let plans =
+    List.init 20 (fun i ->
+        let p = mk_problem ~te_days:(1e4 +. (float_of_int i *. 100.)) () in
+        let r =
+          Json.parse
+            (Service.handle_line_string service
+               (Printf.sprintf {|{"id": %d, "op": "plan", "problem": %s}|} i
+                  (problem_json p)))
+        in
+        match Option.map Codec.plan_of_json (Json.member "plan" r) with
+        | Some (Ok plan) -> plan
+        | _ -> Alcotest.failf "plan %d: %s" i (Json.to_string r))
+  in
+  let stats =
+    Json.parse (Service.handle_line_string service {|{"id": 20, "op": "stats"}|})
+  in
+  let count path =
+    match
+      List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some stats)
+        ("stats" :: path)
+    with
+    | Some (Json.Number v) -> int_of_float v
+    | _ -> Alcotest.failf "stats has no %s" (String.concat "." path)
+  in
+  let sum f = List.fold_left (fun acc plan -> acc + f plan) 0 plans in
+  Alcotest.(check bool) "cold plans evaluate Eq. 24" true
+    (sum (fun p -> p.Optimizer.f_evals) > 0);
+  Alcotest.(check int) "solver rows" 20 (count [ "solver"; "rows" ]);
+  Alcotest.(check int) "solver f_evals" (sum (fun p -> p.Optimizer.f_evals))
+    (count [ "solver"; "f_evals" ]);
+  Alcotest.(check int) "solver inner iterations"
+    (sum (fun p -> p.Optimizer.inner_iterations))
+    (count [ "solver"; "inner_iterations" ]);
+  Alcotest.(check int) "solver outer iterations"
+    (sum (fun p -> p.Optimizer.outer_iterations))
+    (count [ "solver"; "outer_iterations" ]);
+  Alcotest.(check int) "solver fallbacks" (sum (fun p -> p.Optimizer.fallbacks))
+    (count [ "solver"; "fallbacks" ]);
+  Alcotest.(check int) "every shard holds a plan" 8
+    (Sharded_cache.length (Planner.cache (Service.planner service)));
+  Alcotest.(check int) "cache evictions" 12 (count [ "cache"; "evictions" ])
+
 let test_service_error_isolation () =
   let service = Service.create ~workers:2 () in
   Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
@@ -1042,5 +1092,7 @@ let () =
          Alcotest.test_case "parallel speedup (multi-core only)" `Slow
            test_service_parallel_speedup;
          Alcotest.test_case "depth bomb answered structurally" `Quick
-           test_fuzz_depth_limit_is_structured ]);
+           test_fuzz_depth_limit_is_structured;
+         Alcotest.test_case "stats: solver work and cache evictions" `Quick
+           test_service_stats_solver_work_and_evictions ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]

@@ -26,15 +26,14 @@ let load path =
   | Ok doc -> doc
   | Error m -> fail "%s: %s" path m
 
-(* Each kernel contributes up to three gated metrics: the primary mean
-   time (all kernels), and — for loadgen kernels carrying a
-   "throughput" object — sustained QPS (gated on drops) and p99 latency
-   (gated on rises).  Tail latency regressions hide inside a healthy
-   mean, and a throughput collapse can even improve per-request means by
-   shedding the expensive requests, so both get their own tripwire. *)
+(* Each kernel contributes the gated metrics its entry carries: the
+   primary mean time and its allocation per rep, a trajectory entry's
+   speedup, and a solver kernel's iteration counts. *)
 type metric = {
   kernel : string;
-  what : string;  (* "mean_ns" | "qps" | "p99_ns" | "speedup" *)
+  what : string;
+      (* "mean_ns" | "minor_words_per_rep" | "speedup" | "inner_iterations"
+         | "f_evals" *)
   value : float;
   better : [ `Lower | `Higher ];
   unit_ : string;
@@ -53,9 +52,6 @@ let kernels doc =
           | Some kernel ->
               let mean timing =
                 Option.bind (J.member timing entry) (J.float_field "mean_ns")
-              in
-              let throughput field =
-                Option.bind (J.member "throughput" entry) (J.float_field field)
               in
               let primary =
                 match mean "sequential" with Some m -> Some m | None -> mean "wall"
@@ -110,16 +106,6 @@ let kernels doc =
                       { kernel; what = "minor_words_per_rep"; value;
                         better = `Lower; unit_ = "kw"; scale = 1e3; lenience = 1. })
                     primary_words;
-                  Option.map
-                    (fun value ->
-                      { kernel; what = "qps"; value; better = `Higher;
-                        unit_ = "qps"; scale = 1.; lenience = 1. })
-                    (throughput "qps");
-                  Option.map
-                    (fun value ->
-                      { kernel; what = "p99_ns"; value; better = `Lower;
-                        unit_ = "ms"; scale = 1e6; lenience = 1. })
-                    (throughput "p99_ns");
                   Option.map
                     (fun value ->
                       { kernel; what = "speedup"; value; better = `Higher;
@@ -187,32 +173,6 @@ let () =
     (fun m ->
       if not (List.exists (fun b -> metric_key b = metric_key m) baseline) then
         Printf.printf "~ %-40s only in fresh\n" (metric_key m))
-    fresh;
-  (* Durability overhead gate: a "-wal" kernel is the same load with the
-     write-ahead log on, so its p99 is compared against its WAL-off
-     sibling *within the fresh file* (machine-to-machine noise cancels —
-     both ran on this box, in this run).  The tail is where fsync cost
-     shows first; under group commit (the benched configuration —
-     strict fsync-per-op cost is measured separately by wal-append-b1)
-     it must stay within the threshold of the WAL-off tail. *)
-  List.iter
-    (fun wal_m ->
-      if wal_m.what = "p99_ns" && Filename.check_suffix wal_m.kernel "-wal" then begin
-        let base_kernel = Filename.chop_suffix wal_m.kernel "-wal" in
-        match
-          List.find_opt (fun m -> m.kernel = base_kernel && m.what = "p99_ns") fresh
-        with
-        | None -> Printf.printf "~ %-40s has no WAL-off sibling\n" (metric_key wal_m)
-        | Some base when base.value > 0. ->
-            let pct = ((wal_m.value /. base.value) -. 1.) *. 100. in
-            let regressed = pct > !threshold in
-            if regressed then incr regressions;
-            Printf.printf "%s %-40s %10.3f ms -> %10.3f ms  (%+.1f%% durability overhead)\n"
-              (if regressed then "!" else " ")
-              (wal_m.kernel ^ "/p99-vs-" ^ base_kernel)
-              (base.value /. 1e6) (wal_m.value /. 1e6) pct
-        | Some _ -> ()
-      end)
     fresh;
   if !regressions > 0 then begin
     Printf.printf "%d metric(s) regressed by more than %.0f%%\n" !regressions

@@ -348,7 +348,9 @@ let workers =
        & info [ "workers"; "j" ] ~doc:"Worker domains; 0 solves in the calling domain.")
 
 let cache_capacity =
-  Arg.(value & opt int 4096 & info [ "cache-capacity" ] ~doc:"LRU plan cache entries.")
+  Arg.(value & opt int 4096
+       & info [ "cache-capacity" ]
+           ~doc:"Plan cache entries, at least 1, split over up to 8 LRU shards.")
 
 let precision =
   Arg.(value & opt int Ckpt_service.Fingerprint.default_precision

@@ -298,7 +298,9 @@ let batch_fill b (p : problem) ~row n =
    not fit inside [1, n_hi], as on a cold round's first search from
    n_hi, or that hits an exact zero, falls back to the endpoint probes.
 
-   Leaves the row filled at the returned scale. *)
+   Leaves the row filled at the last scale probed, which need not be
+   the returned one: [batch_opt_loop] and [batch_opt_finish] refill it
+   at the scale they use through the [key] guard. *)
 let batch_solve_scale b p ~row ~n_hi () =
   let s = b.Batch.s in
   let n = s.(Batch.slot_n) in

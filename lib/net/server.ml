@@ -59,8 +59,8 @@ type t = {
   finished : (int, unit) Hashtbl.t;
   mutable conn_seq : int;
   mutable requests : int;  (* answered by this incarnation *)
-  (* Requests answered, keyed by the line's "op" field — the routing
-     observability behind {!op_counts}. *)
+  (* Requests answered, keyed by the bucket of the line's "op" field —
+     the routing observability behind {!op_counts}. *)
   ops : (string, int) Hashtbl.t;
   mutable last_snapshot_at : int;  (* [requests] when the last snapshot was cut *)
   (* The persistence layer: WAL + snapshots + recovery + health.  Also
@@ -91,9 +91,17 @@ let connections t = locked t (fun () -> t.conn_seq)
 let draining t = Atomic.get t.draining
 let stop t = Atomic.set t.draining true
 
+(* The closed set of buckets: the protocol's ops, in-band shutdown,
+   every other op name as "unknown" and an unreadable op as "invalid",
+   so a client cannot grow the table with made-up names. *)
+let op_bucket = function
+  | None -> "invalid"
+  | Some op when op = "shutdown" || List.mem op Protocol.ops -> op
+  | Some _ -> "unknown"
+
 (* Caller holds [state_lock]. *)
 let count_op_locked t op =
-  let key = Option.value op ~default:"invalid" in
+  let key = op_bucket op in
   Hashtbl.replace t.ops key (1 + Option.value (Hashtbl.find_opt t.ops key) ~default:0)
 
 let op_counts t =

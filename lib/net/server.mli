@@ -123,9 +123,12 @@ val rejections : t -> int
 
 val op_counts : t -> (string * int) list
 (** Requests answered so far grouped by the line's ["op"] field, sorted
-    by op name — ["invalid"] buckets lines whose op could not be read
-    (non-JSON or missing field), and in-band ["shutdown"] requests are
-    counted even though they never reach the service.  The server parses
+    by op name.  The buckets are a closed set: one per
+    {!Ckpt_service.Protocol.ops} name, ["shutdown"] for in-band
+    shutdown requests (counted even though they never reach the
+    service), ["unknown"] for every other op name and ["invalid"] for
+    lines whose op could not be read (non-JSON or missing field), so the
+    table stays small whatever names clients send.  The server parses
     each line's envelope exactly once, routes from it and hands it to
     the service to answer from, so these counters cost no extra
     parse. *)

@@ -1,7 +1,6 @@
-type outcome = { root : float; iterations : int; residual : float; f_evals : int }
+type outcome = { root : float; iterations : int; f_evals : int }
 
 exception No_bracket of string
-exception No_convergence of string
 
 let sign x = if x > 0. then 1 else if x < 0. then -1 else 0
 
@@ -12,14 +11,14 @@ let check_bracket name flo fhi =
 let bisect_gen ~tol_x ~max_iter ~f ~lo ~hi =
   let flo = f lo and fhi = f hi in
   check_bracket "bisect" flo fhi;
-  if flo = 0. then { root = lo; iterations = 0; residual = 0.; f_evals = 2 }
-  else if fhi = 0. then { root = hi; iterations = 0; residual = 0.; f_evals = 2 }
+  if flo = 0. then { root = lo; iterations = 0; f_evals = 2 }
+  else if fhi = 0. then { root = hi; iterations = 0; f_evals = 2 }
   else begin
     let rec loop lo hi flo iter =
       let mid = 0.5 *. (lo +. hi) in
       let fmid = f mid in
       if hi -. lo < tol_x || fmid = 0. || iter >= max_iter then
-        { root = mid; iterations = iter; residual = Float.abs fmid; f_evals = iter + 3 }
+        { root = mid; iterations = iter; f_evals = iter + 3 }
       else if sign flo * sign fmid <= 0 then loop lo mid flo (iter + 1)
       else loop mid hi fmid (iter + 1)
     in
@@ -75,8 +74,8 @@ let itp_integer ?flo ?fhi ?inner ~f ~lo ~hi () =
         (a, fa, b, fb)
   in
   (* Zero end values only occur at [lo, hi]: an inner bracket has none. *)
-  if ya0 = 0. then { root = lo; iterations = 0; residual = 0.; f_evals = !evals }
-  else if yb0 = 0. then { root = hi; iterations = 0; residual = 0.; f_evals = !evals }
+  if ya0 = 0. then { root = lo; iterations = 0; f_evals = !evals }
+  else if yb0 = 0. then { root = hi; iterations = 0; f_evals = !evals }
   else begin
     let sa = sign ya0 and sb = sign yb0 in
     (* Phase 1: ITP-refine [a0, b0] down to a half-width of [eps].
@@ -215,13 +214,13 @@ let itp_integer ?flo ?fhi ?inner ~f ~lo ~hi () =
     let max_iter = 200 in
     let rec replay rlo rhi slo iter =
       let mid = 0.5 *. (rlo +. rhi) in
-      if rhi -. rlo < 0.5 || iter >= max_iter then begin
-        let fmid = feval mid in
-        { root = mid; iterations = iter; residual = Float.abs fmid; f_evals = !evals }
-      end
+      if rhi -. rlo < 0.5 || iter >= max_iter then
+        (* plain bisection evaluates f here too, though the value
+           cannot change the root *)
+        { root = mid; iterations = iter; f_evals = !evals }
       else if !zero_hit && mid = !a then
         (* bisection would have measured f mid = 0 and stopped here *)
-        { root = mid; iterations = iter; residual = 0.; f_evals = !evals }
+        { root = mid; iterations = iter; f_evals = !evals }
       else begin
         let smid =
           if mid <= !a then sa
@@ -236,7 +235,7 @@ let itp_integer ?flo ?fhi ?inner ~f ~lo ~hi () =
             end
           end
         in
-        if smid = 0 then { root = mid; iterations = iter; residual = 0.; f_evals = !evals }
+        if smid = 0 then { root = mid; iterations = iter; f_evals = !evals }
         else if slo * smid <= 0 then replay rlo mid slo (iter + 1)
         else replay mid rhi smid (iter + 1)
       end
@@ -244,112 +243,11 @@ let itp_integer ?flo ?fhi ?inner ~f ~lo ~hi () =
     replay lo hi sa 0
   end
 
-let newton ?(tol = 1e-12) ?(max_iter = 100) ~f ~f' ~x0 () =
-  let rec loop x iter evals =
-    if iter >= max_iter then
-      raise (No_convergence (Printf.sprintf "newton: %d iterations exhausted at x=%g" iter x));
-    let fx = f x in
-    let evals = evals + 1 in
-    if Float.abs fx <= tol then
-      { root = x; iterations = iter; residual = Float.abs fx; f_evals = evals }
-    else begin
-      let d = f' x in
-      if d = 0. || not (Float.is_finite d) then
-        raise (No_convergence (Printf.sprintf "newton: derivative %g at x=%g" d x));
-      let x' = x -. (fx /. d) in
-      if Float.abs (x' -. x) <= tol *. (1. +. Float.abs x) then
-        { root = x'; iterations = iter + 1; residual = Float.abs (f x'); f_evals = evals + 1 }
-      else loop x' (iter + 1) evals
-    end
-  in
-  loop x0 0 0
-
-let secant ?(tol = 1e-12) ?(max_iter = 100) ~f ~x0 ~x1 () =
-  let rec loop xa xb fa fb iter evals =
-    if iter >= max_iter then
-      raise (No_convergence (Printf.sprintf "secant: %d iterations exhausted at x=%g" iter xb));
-    if Float.abs fb <= tol then
-      { root = xb; iterations = iter; residual = Float.abs fb; f_evals = evals }
-    else begin
-      let denom = fb -. fa in
-      if denom = 0. then raise (No_convergence "secant: flat chord");
-      let x' = xb -. (fb *. (xb -. xa) /. denom) in
-      loop xb x' fb (f x') (iter + 1) (evals + 1)
-    end
-  in
-  loop x0 x1 (f x0) (f x1) 0 2
-
-(* Brent's method (inverse quadratic / secant steps with bisection
-   safeguards), following the standard formulation.  Termination is
-   relative: the bracket must shrink below [tol *. (1. +. |b|)], the
-   same convention as [newton]'s step test, so large-magnitude roots
-   converge in the expected ~log2(width/|root|/tol) probes instead of
-   grinding toward an absolute width no float spacing can reach. *)
-let brent ?(tol = 1e-12) ?(max_iter = 200) ~f ~lo ~hi () =
-  let fa0 = f lo and fb0 = f hi in
-  check_bracket "brent" fa0 fb0;
-  let a = ref lo and b = ref hi and fa = ref fa0 and fb = ref fb0 in
-  if Float.abs !fa < Float.abs !fb then begin
-    let t = !a in a := !b; b := t;
-    let t = !fa in fa := !fb; fb := t
-  end;
-  let c = ref !a and fc = ref !fa and d = ref !a in
-  let mflag = ref true in
-  let iter = ref 0 in
-  let result = ref None in
-  while !result = None do
-    if !fb = 0. || Float.abs (!b -. !a) < tol *. (1. +. Float.abs !b) then
-      result := Some { root = !b; iterations = !iter; residual = Float.abs !fb; f_evals = !iter + 2 }
-    else if !iter >= max_iter then raise (No_convergence "brent: iteration budget exhausted")
-    else begin
-      incr iter;
-      let s =
-        if !fa <> !fc && !fb <> !fc then
-          (* inverse quadratic interpolation *)
-          (!a *. !fb *. !fc /. ((!fa -. !fb) *. (!fa -. !fc)))
-          +. (!b *. !fa *. !fc /. ((!fb -. !fa) *. (!fb -. !fc)))
-          +. (!c *. !fa *. !fb /. ((!fc -. !fa) *. (!fc -. !fb)))
-        else !b -. (!fb *. (!b -. !a) /. (!fb -. !fa))
-      in
-      let lo_guard = ((3. *. !a) +. !b) /. 4. in
-      let between = if lo_guard < !b then s > lo_guard && s < !b else s > !b && s < lo_guard in
-      let use_bisection =
-        (not between)
-        || (!mflag && Float.abs (s -. !b) >= Float.abs (!b -. !c) /. 2.)
-        || ((not !mflag) && Float.abs (s -. !b) >= Float.abs (!c -. !d) /. 2.)
-        || (!mflag && Float.abs (!b -. !c) < tol)
-        || ((not !mflag) && Float.abs (!c -. !d) < tol)
-      in
-      let s = if use_bisection then (!a +. !b) /. 2. else s in
-      mflag := use_bisection;
-      let fs = f s in
-      d := !c;
-      c := !b;
-      fc := !fb;
-      if !fa *. fs < 0. then begin
-        b := s;
-        fb := fs
-      end
-      else begin
-        a := s;
-        fa := fs
-      end;
-      if Float.abs !fa < Float.abs !fb then begin
-        let t = !a in a := !b; b := t;
-        let t = !fa in fa := !fb; fb := t
-      end
-    end
-  done;
-  match !result with
-  | Some r -> r
-  | None -> assert false
-
 let minimize_golden ?(tol = 1e-9) ?(max_iter = 500) ~f ~lo ~hi () =
   let phi = (sqrt 5. -. 1.) /. 2. in
   let rec loop a b x1 x2 f1 f2 iter =
     if b -. a < tol || iter >= max_iter then
-      let m = 0.5 *. (a +. b) in
-      { root = m; iterations = iter; residual = f m; f_evals = iter + 3 }
+      { root = 0.5 *. (a +. b); iterations = iter; f_evals = iter + 2 }
     else if f1 < f2 then begin
       let b = x2 and x2 = x1 and f2 = f1 in
       let x1 = b -. (phi *. (b -. a)) in

@@ -1,22 +1,19 @@
 (** One-dimensional root finding.
 
     The multilevel optimizer solves [dE(T_w)/dN = 0] with a bisection search
-    over the convex region [(0, N_star]] (paper Section III-C.2); Newton and
-    Brent variants are provided for the Jin-style baseline and for tests. *)
+    over the convex region [(0, N_star]] (paper Section III-C.2): plain
+    bisection in the reference solvers, {!itp_integer} in the production
+    one. *)
 
 type outcome = {
   root : float;
   iterations : int;
-  residual : float;  (** |f root| at the returned point *)
   f_evals : int;  (** number of evaluations of [f] performed *)
 }
 
 exception No_bracket of string
 (** Raised by {!bisect} when the supplied interval does not bracket a sign
     change. *)
-
-exception No_convergence of string
-(** Raised when an iterative method exceeds its iteration budget. *)
 
 val bisect :
   ?tol_x:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float -> unit -> outcome
@@ -43,8 +40,9 @@ val itp_integer :
     exact {!bisect_integer} probe recurrence is replayed with probe
     signs inferred from the refined bracket.  When [f] has a single
     sign change on [\[lo, hi\]] the returned [root] is bit-identical to
-    {!bisect_integer}'s, typically at under half the evaluations; the
-    worst case stays within one probe of the bisection budget.  [?flo]
+    {!bisect_integer}'s, typically at under half the evaluations; ITP's
+    minmax envelope (six slack probes) bounds the refinement's worst
+    case a few probes past the bisection budget.  [?flo]
     and [?fhi] pass along already-known endpoint values so the caller's
     guard evaluations are not repeated.
 
@@ -62,24 +60,8 @@ val itp_integer :
     values are zero or of equal signs, or they disagree in sign with a
     supplied [flo] / [fhi]. *)
 
-val newton :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> f':(float -> float) -> x0:float -> unit -> outcome
-(** Newton–Raphson iteration.
-    @raise No_convergence when the iteration budget is exhausted or the
-    derivative vanishes. *)
-
-val secant :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> x0:float -> x1:float -> unit -> outcome
-(** Secant method (derivative-free Newton).
-    @raise No_convergence on failure. *)
-
-val brent :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float -> unit -> outcome
-(** Brent's method: bisection safety with superlinear convergence.
-    @raise No_bracket if the interval does not bracket a root. *)
-
 val minimize_golden :
   ?tol:float -> ?max_iter:int -> f:(float -> float) -> lo:float -> hi:float -> unit -> outcome
 (** Golden-section search for the minimum of a unimodal function; used by
-    tests to confirm that stationary points found via derivatives are
-    actual minima.  The returned [residual] is [f root]. *)
+    the Markov model's interval search and by tests to confirm that
+    stationary points found via derivatives are actual minima. *)

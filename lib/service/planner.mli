@@ -73,7 +73,8 @@ val create :
   ?chaos:Ckpt_chaos.Chaos.t ->
   Metrics.t ->
   t
-(** [cache_capacity] defaults to 4096 entries, [precision] to
+(** [cache_capacity] defaults to 4096 entries and may be any positive
+    count (see {!Sharded_cache.create}), [precision] defaults to
     {!Fingerprint.default_precision} significant digits in cache keys.
     [chaos] injects solver faults into uncached solves (testing only).
     @raise Invalid_argument on nonsensical [resilience] values. *)

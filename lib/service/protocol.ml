@@ -285,6 +285,11 @@ let parse_calibrate json =
   in
   Ok (Calibrate { query; log; prior_strength; compare })
 
+(* The ops [parse_request] answers: keep in step with its match. *)
+let ops =
+  [ "plan"; "batch-plan"; "sweep"; "simulate-validate"; "observe"; "estimate";
+    "replan"; "calibrate"; "stats" ]
+
 let parse_request line =
   match Json.parse_result line with
   | Error m -> { id = None; op = None; request = Error (error_v "parse" m) }

@@ -136,6 +136,10 @@ val solution_of_string : string -> (solution, error) result
 val solution_to_string : solution -> string
 val sweep_param_to_string : sweep_param -> string
 
+val ops : string list
+(** The op names {!parse_request} knows, each once: a line whose op is
+    not among them is answered ["invalid-request"] ("unknown op"). *)
+
 val parse_request : string -> envelope
 (** Parse and fully validate one request line; every problem it returns
     has passed [Optimizer.check_problem], and every failure is folded

@@ -7,7 +7,14 @@ type 'a t = {
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let create ?(shards = 8) ~capacity () =
+(* The default shard count: 8, or the largest power of two that
+   leaves every shard at least one entry. *)
+let default_shards capacity =
+  let rec fit n = if n >= 8 || 2 * n > capacity then n else fit (2 * n) in
+  fit 1
+
+let create ?shards ~capacity () =
+  let shards = match shards with Some s -> s | None -> default_shards capacity in
   if not (is_power_of_two shards) then
     invalid_arg "Sharded_cache.create: shards must be a positive power of two";
   if capacity < shards then

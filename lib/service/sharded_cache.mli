@@ -1,14 +1,15 @@
 (** A plan cache sharded N ways over {!Lru_cache}, one mutex per shard.
 
-    The planner's cache was a single LRU touched only from the
-    coordinating domain.  Sharding it by fingerprint prefix removes that
-    restriction: each shard carries its own lock, so concurrent lookups
-    of different keys contend only when their leading nibble collides —
-    lookups from pool workers or several coordinators stay mostly
-    lock-free of each other.  Recency is tracked per shard; with the
-    uniform FNV-1a fingerprints the service uses as keys, per-shard LRU
-    evicts within a hair of global LRU at a fraction of the
-    synchronisation cost.
+    Sharded by fingerprint prefix, one lock per shard, so concurrent
+    lookups of different keys would contend only when their leading
+    nibble collides.  Nothing looks up concurrently today: the planner
+    touches the cache only from its coordinating thread (which the
+    socket server serializes under its coordinator lock), and the
+    snapshot layer saves it under that lock and restores it before the
+    server accepts.  The locks stay so the cache remains safe to share.
+    Recency is tracked per shard; with the uniform FNV-1a fingerprints
+    the service uses as keys, per-shard LRU evicts within a hair of
+    global LRU.
 
     Capacity is a global budget split evenly across shards (remainder to
     the first shards), so total capacity is exactly the requested
@@ -17,8 +18,10 @@
 type 'a t
 
 val create : ?shards:int -> capacity:int -> unit -> 'a t
-(** [shards] (default 8) must be a positive power of two, and
-    [capacity >= shards] so no shard rounds down to zero.
+(** [shards] must be a positive power of two, and [capacity >= shards]
+    so no shard rounds down to zero.  It defaults to 8, or below a
+    capacity of 8 to the largest power of two not above the capacity,
+    so any positive capacity is accepted.
     @raise Invalid_argument otherwise. *)
 
 val shards : 'a t -> int

@@ -434,6 +434,27 @@ let test_op_counts () =
   Alcotest.(check (option int)) "shutdown counted" (Some 1)
     (List.assoc_opt "shutdown" (Server.op_counts server))
 
+(* Op names are the client's to choose, but the counter table is not
+   theirs to grow: a thousand made-up names and one ~100 KiB name share
+   the single "unknown" bucket. *)
+let test_op_counts_closed_set () =
+  with_server @@ fun _service server ->
+  ( with_client server @@ fun c ->
+    let unknown name =
+      send c (Printf.sprintf {|{"id": 1, "op": "%s"}|} name);
+      if response_ok (recv_exn c "unknown op") then
+        Alcotest.failf "op %S answered ok" (String.sub name 0 (min 16 (String.length name)))
+    in
+    for i = 1 to 1_000 do
+      unknown (Printf.sprintf "zzz-%d" i)
+    done;
+    unknown (String.make (100 * 1024) 'z');
+    send c (plan_line 0);
+    ignore (recv_exn c "plan") );
+  Alcotest.(check (list (pair string int))) "one unknown bucket"
+    [ ("plan", 1); ("unknown", 1_001) ]
+    (Server.op_counts server)
+
 let test_mangled_lines_reparsed () =
   (* The server parses each line once and hands the envelope to the
      service, which must not answer a line its chaos mangled from that
@@ -675,6 +696,137 @@ let test_restart_seq_monotonic () =
             (Json.member "cached" (Json.parse r) = Some (Json.Bool true)))
         responses)
 
+(* ---------------- a pooled server under concurrent load ---------------- *)
+
+(* One run at [i * 1e4] s as SCR-style log lines, for a [calibrate] on
+   the same timeline as [observe_line i]. *)
+let calibrate_line i =
+  let t0 = float_of_int i *. 1e4 and level k = 1 + ((i + k) mod 4) in
+  let log =
+    [ Printf.sprintf "t=%.0f event=START scale=100000 levels=4" t0;
+      Printf.sprintf "t=%.0f event=COMPUTE secs=3000 productive=2900" (t0 +. 3000.);
+      Printf.sprintf "t=%.0f event=CHECKPOINT secs=%d level=%d" (t0 +. 3030.)
+        (25 + (i mod 3)) (level 0);
+      Printf.sprintf "t=%.0f event=FAILURE level=%d" (t0 +. 3500.) (level 1);
+      Printf.sprintf "t=%.0f event=FETCH secs=40 level=%d" (t0 +. 3540.) (level 1);
+      Printf.sprintf "t=%.0f event=REBUILD secs=20" (t0 +. 3560.);
+      Printf.sprintf "t=%.0f event=COMPUTE secs=3000 productive=2900" (t0 +. 6560.);
+      Printf.sprintf "t=%.0f event=END complete=1" (t0 +. 6560.) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("id", Json.Number (float_of_int i)); ("op", Json.String "calibrate");
+         ("problem", Codec.problem_to_json problem_pool.(i mod Array.length problem_pool));
+         ("log", Json.List (List.map (fun l -> Json.String l) log));
+         ("prior_strength", Json.Number 1e10) ])
+
+(* Read-only traffic on problems of connection [conn]'s own: plan,
+   20-problem batch-plan and 20-point te-sweep lines, each on problems
+   not asked for before, so every batch and sweep has more uncached rows
+   than one solver segment (16) and fans out over the pool.  The te
+   ranges, sweeps included, of different connections are disjoint, so a
+   connection's answers cannot depend on the others' cache traffic. *)
+let reader_lines conn n =
+  let fresh = ref 0 in
+  let next () =
+    incr fresh;
+    mk_problem ~te_days:(2e4 +. (1e4 *. float_of_int conn) +. float_of_int !fresh) ()
+  in
+  let pjson p = Codec.problem_to_json p in
+  List.init n (fun k ->
+      let id = ("id", Json.Number (float_of_int k)) in
+      Json.to_string
+        (match k mod 3 with
+        | 0 -> Json.Obj [ id; ("op", Json.String "plan"); ("problem", pjson (next ())) ]
+        | 1 ->
+            Json.Obj
+              [ id; ("op", Json.String "batch-plan");
+                ("problems", Json.List (List.init 20 (fun _ -> pjson (next ())))) ]
+        | _ ->
+            let p = next () in
+            Json.Obj
+              [ id; ("op", Json.String "sweep"); ("problem", pjson p);
+                ("param", Json.String "te");
+                ( "values",
+                  Json.float_array
+                    (Array.init 20 (fun j ->
+                         p.Optimizer.te *. (0.9 +. (0.01 *. float_of_int j)))) ) ]))
+
+(* The stateful connection: observe, calibrate and estimate in turn on
+   one monotone timeline. *)
+let telemetry_lines n =
+  List.init n (fun k ->
+      match k mod 3 with
+      | 0 -> observe_line k
+      | 1 -> calibrate_line k
+      | _ -> estimate_line k)
+
+(* A server whose service fans solves out over a two-domain pool, with
+   snapshots on, under four concurrent closed-loop connections: three
+   readers and one telemetry writer, 300 lines in all.  Every reply is
+   ok, each connection's replies are byte-identical to those of an
+   unpooled service that answers its lines alone, and the drain leaves a
+   snapshot behind. *)
+let test_pooled_server_concurrent_load () =
+  let streams =
+    [ reader_lines 0 80; reader_lines 1 80; reader_lines 2 80; telemetry_lines 60 ]
+  in
+  let expected =
+    List.map
+      (fun lines ->
+        let reference = Service.create ~workers:0 () in
+        Fun.protect ~finally:(fun () -> Service.shutdown reference) (fun () ->
+            List.map (Service.handle_line_string reference) lines))
+      streams
+  in
+  with_tmp_dir @@ fun dir ->
+  let service = Service.create ~workers:2 () in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let config =
+    { Server.default_config with Server.snapshot_dir = Some dir; snapshot_interval = 64 }
+  in
+  let server = Server.start ~config service in
+  let got =
+    Fun.protect ~finally:(fun () -> Server.stop server; Server.join server) @@ fun () ->
+    let results = Array.make (List.length streams) (Error "not run") in
+    let drive i lines =
+      results.(i) <-
+        (try
+           with_client server @@ fun c ->
+           Ok (List.map (fun l -> match ask c l with Some r -> r | None -> "<no reply>") lines)
+         with e -> Error (Printexc.to_string e))
+    in
+    List.mapi (fun i lines -> Thread.create (drive i) lines) streams
+    |> List.iter Thread.join;
+    Alcotest.(check int) "every line answered" 300 (Server.requests server);
+    Alcotest.(check int) "four connections" 4 (Server.connections server);
+    Array.to_list results
+  in
+  List.iteri
+    (fun i (want, got) ->
+      match got with
+      | Error m -> Alcotest.failf "connection %d: %s" i m
+      | Ok got ->
+          List.iteri
+            (fun k (want, got) ->
+              if not (response_ok got) then
+                Alcotest.failf "connection %d line %d not ok: %s" i k got;
+              if got <> want then
+                Alcotest.failf
+                  "connection %d line %d differs from an unpooled service:\n%s\nvs\n%s"
+                  i k got want)
+            (List.combine want got))
+    (List.combine expected got);
+  let snapshots =
+    if not (Sys.file_exists dir) then []
+    else
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".ckpt")
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "snapshots written (%d)" (List.length snapshots))
+    true (snapshots <> [])
+
 (* ---------------- network chaos soak ---------------- *)
 
 let test_net_chaos_soak () =
@@ -802,13 +954,16 @@ let () =
         [ Alcotest.test_case "loopback-byte-identical" `Quick
             test_loopback_byte_identical_to_stdin_path;
           Alcotest.test_case "op-counts" `Quick test_op_counts;
+          Alcotest.test_case "op-counts-closed-set" `Quick test_op_counts_closed_set;
           Alcotest.test_case "mangled-lines-reparsed" `Quick test_mangled_lines_reparsed;
           Alcotest.test_case "blank-and-oversized" `Quick
             test_loopback_blank_and_oversized_lines;
           Alcotest.test_case "overloaded" `Quick test_overloaded_rejection;
           Alcotest.test_case "deadline" `Quick test_deadline_exceeded;
           Alcotest.test_case "drain" `Quick test_drain_completes_in_flight;
-          Alcotest.test_case "config-validation" `Quick test_config_validation ] );
+          Alcotest.test_case "config-validation" `Quick test_config_validation;
+          Alcotest.test_case "pooled-concurrent-load" `Quick
+            test_pooled_server_concurrent_load ] );
       ( "restart",
         [ qc test_restart_byte_identity;
           Alcotest.test_case "cache-hit" `Quick test_restart_cache_hit;

@@ -463,6 +463,23 @@ let test_protocol_level_count_mismatch () =
   | Error e -> Alcotest.(check string) "rate arity rejected" "invalid-problem" e.Protocol.code
   | Ok _ -> Alcotest.fail "mismatched rates/levels must be rejected"
 
+(* [Protocol.ops] lists exactly the ops [parse_request] routes: each
+   parses to something other than "unknown op", and a name outside the
+   list does not. *)
+let test_protocol_ops_list () =
+  let unknown op =
+    match (Protocol.parse_request (Printf.sprintf {|{"op": %S}|} op)).Protocol.request with
+    | Error e -> e.Protocol.message = Printf.sprintf "unknown op %S" op
+    | Ok _ -> false
+  in
+  List.iter
+    (fun op -> Alcotest.(check bool) (op ^ " is routed") false (unknown op))
+    Protocol.ops;
+  Alcotest.(check int) "no duplicates" (List.length Protocol.ops)
+    (List.length (List.sort_uniq compare Protocol.ops));
+  Alcotest.(check bool) "shutdown is the server's, not the protocol's" true
+    (unknown "shutdown")
+
 let test_check_problem_direct () =
   (* The service maps this Invalid_argument to a structured error. *)
   let bad =
@@ -669,6 +686,37 @@ let test_service_stats_solver_work_and_evictions () =
   Alcotest.(check int) "every shard holds a plan" 8
     (Sharded_cache.length (Planner.cache (Service.planner service)));
   Alcotest.(check int) "cache evictions" 12 (count [ "cache"; "evictions" ])
+
+(* Any positive cache capacity serves: below 8 entries the default
+   shard count shrinks to fit it (one shard per entry at most), so a
+   small capacity is a small cache rather than a refused one.  At
+   capacity 1 the second distinct plan evicts the first. *)
+let test_service_small_cache_capacities () =
+  List.iter
+    (fun capacity ->
+      let service = Service.create ~workers:0 ~cache_capacity:capacity () in
+      Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+      List.iteri
+        (fun i p ->
+          let r =
+            Json.parse
+              (Service.handle_line_string service
+                 (Printf.sprintf {|{"id": %d, "op": "plan", "problem": %s}|} i
+                    (problem_json p)))
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "capacity %d: plan %d answered" capacity i)
+            true (Protocol.response_ok r))
+        [ mk_problem (); mk_problem ~te_days:2e4 () ];
+      if capacity = 1 then begin
+        let stats =
+          Json.parse (Service.handle_line_string service {|{"id": 2, "op": "stats"}|})
+        in
+        Alcotest.(check (option (float 0.))) "capacity 1: one eviction" (Some 1.)
+          (Option.bind (Json.member "stats" stats) (Json.member "cache")
+          |> Fun.flip Option.bind (Json.float_field "evictions"))
+      end)
+    [ 1; 4; 7 ]
 
 let test_service_error_isolation () =
   let service = Service.create ~workers:2 () in
@@ -1074,7 +1122,8 @@ let () =
          Alcotest.test_case "error codes" `Quick test_protocol_errors;
          Alcotest.test_case "level-count mismatch" `Quick test_protocol_level_count_mismatch;
          Alcotest.test_case "fixed_n past the speedup's range" `Quick test_protocol_scale_range;
-         Alcotest.test_case "check_problem raises" `Quick test_check_problem_direct ]);
+         Alcotest.test_case "check_problem raises" `Quick test_check_problem_direct;
+         Alcotest.test_case "ops list matches the router" `Quick test_protocol_ops_list ]);
       ("wire",
        [ Alcotest.test_case "parse equivalence" `Quick test_wire_parse_equivalence;
          Alcotest.test_case "streamed lines byte-identical" `Quick test_wire_lines_byte_identical;
@@ -1094,5 +1143,7 @@ let () =
          Alcotest.test_case "depth bomb answered structurally" `Quick
            test_fuzz_depth_limit_is_structured;
          Alcotest.test_case "stats: solver work and cache evictions" `Quick
-           test_service_stats_solver_work_and_evictions ]);
+           test_service_stats_solver_work_and_evictions;
+         Alcotest.test_case "cache capacities 1, 4 and 7 serve" `Quick
+           test_service_small_cache_capacities ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]

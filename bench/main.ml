@@ -613,6 +613,65 @@ let json_bench () =
           ("lines_per_rep", J.Number (float_of_int (List.length lines)));
           timing_obj "wall" (time_ns ~reps send_all) ] ]
   in
+  (* Session intervals: the Garwood intervals an [estimate] computes,
+     one four-level [confidence_per_day] set at coverage 0.95, at
+     k = 1, 10^3 and 10^6 failures per level.  Its f_evals, the
+     incomplete-gamma evaluations of those 24 quantiles, is the
+     deterministic count the committed baseline gates. *)
+  let entries =
+    entries
+    @
+    let module R = Ckpt_adaptive.Rate_estimator in
+    let levels = 4 and coverage = 0.95 in
+    let ks = [ 1; 1_000; 1_000_000 ] in
+    (* k failures at every level over 10^6 core-seconds, built as the
+       snapshot an estimator restores from. *)
+    let estimator k =
+      let per_level v = J.List (List.init levels (fun _ -> J.Number v)) in
+      let snapshot =
+        J.Obj
+          [ ("levels", J.Number (float_of_int levels));
+            ("half_life", J.Null);
+            ("counts", per_level (float_of_int k));
+            ("exposure", J.Number 1e6);
+            ("raw_counts", per_level (float_of_int k));
+            ("raw_exposure", J.Number 1e6);
+            ("scale", J.Number 1.);
+            ("last_at", J.Null) ]
+      in
+      match R.of_json snapshot with
+      | Ok t -> t
+      | Error m -> failwith ("session-intervals bench: " ^ m)
+    in
+    let estimators = List.map estimator ks in
+    let interval_sets () =
+      List.iter
+        (fun t ->
+          for level = 1 to levels do
+            ignore (R.confidence_per_day ~coverage t ~level ~baseline_scale:1.)
+          done)
+        estimators
+    in
+    (* The quantiles [confidence_per_day] takes: a = k at alpha/2 and
+       a = k + 1 at 1 - alpha/2, per level. *)
+    let f_evals =
+      let alpha = 1. -. coverage in
+      let evals a p = (Ckpt_numerics.Special.gamma_p_inv_outcome ~a ~p).Ckpt_numerics.Roots.f_evals in
+      List.fold_left
+        (fun acc k ->
+          let k = float_of_int k in
+          acc + (levels * (evals k (alpha /. 2.) + evals (k +. 1.) (1. -. (alpha /. 2.)))))
+        0 ks
+    in
+    let reps = 5 in
+    [ J.Obj
+        [ ("kernel", J.String "session-intervals");
+          ("workers", J.Number 0.);
+          ("reps", J.Number (float_of_int reps));
+          ("quantiles", J.Number (float_of_int (2 * levels * List.length ks)));
+          timing_obj "wall" (time_ns ~reps interval_sets);
+          ("iterations", J.Obj [ ("f_evals", J.Number (float_of_int f_evals)) ]) ] ]
+  in
   (* WAL append throughput: the per-op durability cost the server pays
      under --wal-dir, swept across group-commit batches.  Each rep
      appends a realistic protocol-line payload 256 times and ends with

@@ -222,7 +222,7 @@ let delta =
   Arg.(value & opt float 1e-9 & info [ "delta" ] ~doc:"Outer-loop convergence threshold.")
 
 let coverage =
-  Arg.(value & opt float 0.95 & info [ "coverage" ] ~doc:"Confidence-interval coverage in (0,1).")
+  Arg.(value & opt float 0.95 & info [ "coverage" ] ~doc:"Confidence-interval coverage in (0, 1 - 2^-52].")
 
 let prior_strength =
   Arg.(value & opt float 0.

@@ -271,7 +271,7 @@ let run self logfile te_days rates baseline kappa n_star alloc costs pfs_alpha
         try
           run_calibrate ~logfile ~template ~prior_strength ~min_samples
             ~coverage ~stats ~emit_problem ~compare
-        with Invalid_argument m | Failure m -> Error m)
+        with Invalid_argument m | Failure m | Sys_error m -> Error m)
 
 let logfile =
   Arg.(value & opt (some string) None
@@ -305,7 +305,7 @@ let pfs_alpha =
        & info [ "pfs-alpha" ] ~doc:"Linear scale coefficient of the last level's cost.")
 
 let coverage =
-  Arg.(value & opt float 0.95 & info [ "coverage" ] ~doc:"Confidence-interval coverage in (0,1).")
+  Arg.(value & opt float 0.95 & info [ "coverage" ] ~doc:"Confidence-interval coverage in (0, 1 - 2^-52].")
 
 let prior_strength =
   Arg.(value & opt float 0.

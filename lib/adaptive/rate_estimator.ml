@@ -111,10 +111,14 @@ let per_day_factor ~baseline_scale =
 let rate_per_day t ~level ~baseline_scale =
   rate_per_core_second t ~level *. per_day_factor ~baseline_scale
 
+(* The upper bound's quantile is taken at 1 - alpha/2, which must stay
+   below 1: the one coverage in (0, 1) it rounds away is 1 - 2^-53. *)
+let valid_coverage c = c > 0. && c < 1. && 1. -. ((1. -. c) /. 2.) < 1.
+
 let confidence_per_day ?(coverage = 0.95) t ~level ~baseline_scale =
   check_level t level;
-  if coverage <= 0. || coverage >= 1. then
-    invalid_arg "Rate_estimator.confidence_per_day: coverage outside (0, 1)";
+  if not (valid_coverage coverage) then
+    invalid_arg "Rate_estimator.confidence_per_day: coverage outside (0, 1 - 2^-52]";
   let factor = per_day_factor ~baseline_scale in
   if t.raw_exposure <= 0. then (0., infinity)
   else

@@ -66,7 +66,14 @@ val confidence_per_day :
     are the chi-square quantiles [chi2_{alpha/2}(2k) / 2E] and
     [chi2_{1-alpha/2}(2k+2) / 2E].  [coverage] defaults to [0.95].  The
     lower bound is [0.] when [k = 0]; the interval is [(0., infinity)]
-    while exposure is zero. *)
+    while exposure is zero.  Each bound is one incomplete-gamma quantile
+    of ~30 evaluations of [P(a, x)] ({!Ckpt_numerics.Special.gamma_p_inv}).
+    @raise Invalid_argument unless [valid_coverage coverage]. *)
+
+val valid_coverage : float -> bool
+(** [coverage] in [(0, 1 - 2^-52\]]: in [(0, 1)], and with
+    [1 - (1 - coverage) / 2] still below 1.  The largest double below 1,
+    [1 - 2^-53], is the one coverage in [(0, 1)] it excludes. *)
 
 val to_spec :
   ?prior_strength:float -> t -> like:Ckpt_failures.Failure_spec.t -> Ckpt_failures.Failure_spec.t

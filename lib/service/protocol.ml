@@ -242,8 +242,8 @@ let parse_estimate json =
   in
   let coverage = Option.value (Json.float_field "coverage" json) ~default:0.95 in
   let* () =
-    if coverage > 0. && coverage < 1. then Ok ()
-    else err "invalid-request" "coverage must be in (0, 1)"
+    if Ckpt_adaptive.Rate_estimator.valid_coverage coverage then Ok ()
+    else err "invalid-request" "coverage must be in (0, 1 - 2^-52]"
   in
   Ok (Estimate { baseline_scale; coverage })
 

@@ -64,3 +64,75 @@ let check_equiv_plan ?strict_n msg (a : Optimizer.plan) (b : Optimizer.plan) =
        vs %h, converged %b vs %b)"
       msg a.Optimizer.n b.Optimizer.n a.Optimizer.wall_clock
       b.Optimizer.wall_clock a.Optimizer.converged b.Optimizer.converged
+
+(* The incomplete-gamma quantile as it stood before its bisection was
+   replayed (Special.gamma_p_inv), kept verbatim: P(a, x) with both
+   expansions capped at 500 terms and ln Gamma(a) recomputed on every
+   evaluation, then 200 plain bisection steps.  The replay must return
+   these bits wherever the capped expansions converged. *)
+module Gamma_bisection = struct
+  let log_gamma = Ckpt_numerics.Special.log_gamma
+  let gamma_eps = 1e-14
+  let gamma_max_iter = 500
+
+  let gamma_p_series ~a ~x =
+    let ap = ref a in
+    let sum = ref (1. /. a) in
+    let del = ref !sum in
+    (try
+       for _ = 1 to gamma_max_iter do
+         ap := !ap +. 1.;
+         del := !del *. x /. !ap;
+         sum := !sum +. !del;
+         if Float.abs !del < Float.abs !sum *. gamma_eps then raise Exit
+       done
+     with Exit -> ());
+    !sum *. exp ((a *. log x) -. x -. log_gamma a)
+
+  let gamma_q_cf ~a ~x =
+    let tiny = 1e-300 in
+    let b = ref (x +. 1. -. a) in
+    let c = ref (1. /. tiny) in
+    let d = ref (1. /. !b) in
+    let h = ref !d in
+    (try
+       for i = 1 to gamma_max_iter do
+         let an = -.float_of_int i *. (float_of_int i -. a) in
+         b := !b +. 2.;
+         d := (an *. !d) +. !b;
+         if Float.abs !d < tiny then d := tiny;
+         c := !b +. (an /. !c);
+         if Float.abs !c < tiny then c := tiny;
+         d := 1. /. !d;
+         let del = !d *. !c in
+         h := !h *. del;
+         if Float.abs (del -. 1.) < gamma_eps then raise Exit
+       done
+     with Exit -> ());
+    !h *. exp ((a *. log x) -. x -. log_gamma a)
+
+  let gamma_p ~a ~x =
+    assert (a > 0.);
+    if x <= 0. then 0.
+    else if x < a +. 1. then gamma_p_series ~a ~x
+    else 1. -. gamma_q_cf ~a ~x
+
+  let gamma_p_inv ~a ~p =
+    assert (a > 0.);
+    assert (p >= 0. && p < 1.);
+    if p = 0. then 0.
+    else begin
+      (* Bracket the quantile, then bisect; P is monotone in x and the
+         bracket doubles from the mean so few expansions are needed. *)
+      let hi = ref (Float.max 1. (2. *. a)) in
+      while gamma_p ~a ~x:!hi < p do
+        hi := !hi *. 2.
+      done;
+      let lo = ref 0. in
+      for _ = 1 to 200 do
+        let mid = 0.5 *. (!lo +. !hi) in
+        if gamma_p ~a ~x:mid < p then lo := mid else hi := mid
+      done;
+      0.5 *. (!lo +. !hi)
+    end
+end

@@ -157,6 +157,28 @@ let test_garwood_zero_failures () =
      core-second, times 86400 per day at N_b = 1. *)
   approx ~tol:1e-6 "closed-form upper bound" (-.Float.log 0.025 /. 1000. *. 86_400.) hi
 
+let test_coverage_next_to_one () =
+  (* At coverage 1 - 2^-53 the upper quantile's 1 - alpha/2 rounds to 1;
+     one ulp lower, 1 - 2^-52, is still a proper interval. *)
+  let events =
+    [ Telemetry.Run_start { at = 0.; scale = 1.; levels = 1 };
+      Telemetry.Failure { at = 10.; level = 1 };
+      Telemetry.Run_end { at = 1000.; completed = true } ]
+  in
+  let t = Rate_estimator.observe_all (Rate_estimator.create ~levels:1 ()) events in
+  let interval coverage =
+    Rate_estimator.confidence_per_day ~coverage t ~level:1 ~baseline_scale:1.
+  in
+  Alcotest.check_raises "1 - 2^-53 is refused"
+    (Invalid_argument "Rate_estimator.confidence_per_day: coverage outside (0, 1 - 2^-52]")
+    (fun () -> ignore (interval (1. -. (epsilon_float /. 2.))));
+  let lo, hi = interval (1. -. epsilon_float) in
+  Alcotest.(check bool) "1 - 2^-52 gives finite, ordered bounds" true
+    (Float.is_finite lo && Float.is_finite hi && 0. < lo && lo < hi);
+  Alcotest.(check bool) "the predicate agrees" true
+    (Rate_estimator.valid_coverage (1. -. epsilon_float)
+    && not (Rate_estimator.valid_coverage (1. -. (epsilon_float /. 2.))))
+
 let test_to_spec_prior_shrinkage () =
   let events =
     stream_telemetry ~spec:true_spec
@@ -449,6 +471,7 @@ let () =
          Alcotest.test_case "empirical CI coverage" `Slow test_empirical_coverage;
          Alcotest.test_case "Weibull mean-rate recovery" `Slow test_weibull_mle_recovers_mean_rate;
          Alcotest.test_case "Garwood bound at zero failures" `Quick test_garwood_zero_failures;
+         Alcotest.test_case "coverage next to 1" `Quick test_coverage_next_to_one;
          Alcotest.test_case "prior shrinkage" `Quick test_to_spec_prior_shrinkage;
          Alcotest.test_case "EWMA tracks a rate shift" `Quick test_ewma_tracks_shift ]);
       ("costs",

@@ -489,6 +489,74 @@ let test_factorial () =
   check_close ~tol:1e-9 "5!" 120. (Special.factorial 5);
   check_close ~tol:1e-3 "12!" 479001600. (Special.factorial 12)
 
+(* ---------------- Incomplete gamma ---------------- *)
+
+let test_gamma_p_exponential () =
+  (* P(1, x) = 1 - e^-x, on both sides of the series/fraction split at
+     x = a + 1 = 2. *)
+  List.iter
+    (fun x ->
+      let expected = -.Float.expm1 (-.x) in
+      let got = Special.gamma_p ~a:1. ~x in
+      if Float.abs (got -. expected) > 1e-14 *. Float.max expected 1e-300 +. 1e-16 then
+        Alcotest.failf "P(1, %g) = %.17g, expected %.17g" x got expected)
+    [ 1e-6; 0.1; 0.5; 1.; 1.999; 2.; 3.; 10.; 30. ]
+
+let test_gamma_p_poisson_sum () =
+  (* For integer n, Q(n, x) = e^-x sum_{k<n} x^k / k!: the chance that a
+     Poisson(x) count is below n. *)
+  List.iter
+    (fun x ->
+      let term = ref (exp (-.x)) and q = ref 0. in
+      for n = 1 to 60 do
+        q := !q +. !term;
+        term := !term *. x /. float_of_int n;
+        let got = Special.gamma_p ~a:(float_of_int n) ~x in
+        if Float.abs (got -. (1. -. !q)) > 1e-12 then
+          Alcotest.failf "P(%d, %g) = %.17g, Poisson sum gives %.17g" n x got (1. -. !q)
+      done)
+    [ 0.5; 1.; 5.; 10.; 20.; 40. ]
+
+let test_gamma_p_inv_exponential () =
+  (* a = 1 is the exponential law: the quantile is -ln(1 - p). *)
+  List.iter
+    (fun p ->
+      let expected = -.Float.log1p (-.p) in
+      let got = Special.gamma_p_inv ~a:1. ~p in
+      if Float.abs (got -. expected) > 1e-9 *. expected then
+        Alcotest.failf "gamma_p_inv 1 %g = %.17g, expected %.17g" p got expected)
+    [ 1e-12; 1e-6; 0.025; 0.5; 0.975; 0.999999 ];
+  check_float "p = 0" 0. (Special.gamma_p_inv ~a:3. ~p:0.);
+  Alcotest.(check int) "p = 0 costs nothing" 0
+    (Special.gamma_p_inv_outcome ~a:3. ~p:0.).Roots.f_evals
+
+let test_garwood_bounds () =
+  (* The classic exact 95% Poisson bounds for k events:
+     [gamma_p_inv k 0.025, gamma_p_inv (k + 1) 0.975]. *)
+  List.iter
+    (fun (k, lo, hi) ->
+      let k = float_of_int k in
+      check_close ~tol:5e-7 "lower" lo (Special.gamma_p_inv ~a:k ~p:0.025);
+      check_close ~tol:5e-7 "upper" hi (Special.gamma_p_inv ~a:(k +. 1.) ~p:0.975))
+    [ (1, 0.025318, 5.571643); (10, 4.795389, 18.390356); (100, 81.363991, 121.626794) ]
+
+let test_gamma_p_inv_budget () =
+  (* The service's quantiles, a = k at p = 0.025 and a = k + 1 at
+     p = 0.975: at most a fifth of the plain bisection's 201
+     evaluations on average. *)
+  let evals = ref 0 and quantiles = ref 0 in
+  for k = 1 to 3000 do
+    let k = float_of_int k in
+    List.iter
+      (fun (a, p) ->
+        incr quantiles;
+        evals := !evals + (Special.gamma_p_inv_outcome ~a ~p).Roots.f_evals)
+      [ (k, 0.025); (k +. 1., 0.975) ]
+  done;
+  let mean = float_of_int !evals /. float_of_int !quantiles in
+  if mean > 0.2 *. 201. then
+    Alcotest.failf "%.1f evaluations per quantile, budget %.1f" mean (0.2 *. 201.)
+
 (* ---------------- Sparse ---------------- *)
 
 let test_sparse_build_get () =
@@ -589,6 +657,43 @@ let test_cg_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* P(a, x) and Q(a, x) with no term cap: the series below x = a + 1,
+   the Lentz continued fraction above, each run to 1e-16 / 1e-15
+   relative, tighter than the production 1e-14. *)
+let uncapped_gamma_pq ~a ~x =
+  let prefactor = exp ((a *. log x) -. x -. Special.log_gamma a) in
+  if x < a +. 1. then begin
+    let ap = ref a and sum = ref (1. /. a) and del = ref (1. /. a) in
+    while Float.abs !del >= Float.abs !sum *. 1e-16 do
+      ap := !ap +. 1.;
+      del := !del *. x /. !ap;
+      sum := !sum +. !del
+    done;
+    let p = !sum *. prefactor in
+    (p, 1. -. p)
+  end
+  else begin
+    let tiny = 1e-300 in
+    let b = ref (x +. 1. -. a) and c = ref (1. /. tiny) in
+    let d = ref (1. /. !b) in
+    let h = ref !d and i = ref 0 and fin = ref false in
+    while not !fin do
+      incr i;
+      let an = -.float_of_int !i *. (float_of_int !i -. a) in
+      b := !b +. 2.;
+      d := (an *. !d) +. !b;
+      if Float.abs !d < tiny then d := tiny;
+      c := !b +. (an /. !c);
+      if Float.abs !c < tiny then c := tiny;
+      d := 1. /. !d;
+      let del = !d *. !c in
+      h := !h *. del;
+      fin := Float.abs (del -. 1.) < 1e-15
+    done;
+    let q = !h *. prefactor in
+    (1. -. q, q)
+  end
+
 (* ---------------- property tests ---------------- *)
 
 let qcheck_tests =
@@ -669,6 +774,55 @@ let qcheck_tests =
            evaluation, which the replay skips, pays for one of them.
            On a million such draws the gap never exceeded 0. *)
         && fast.Roots.f_evals <= slow.Roots.f_evals + 5);
+    (* The replayed quantile against the plain 200-step bisection on the
+       500-term P(a, x) it replaced, where those expansions converged:
+       any a up to 4,000, the 2.5%/97.5% quantiles of integer a up to
+       7,000, and the Garwood quantiles of k <= 3,000 at coverages out
+       to 1 - 2^-52. *)
+    Test.make ~name:"gamma_p_inv is bitwise the plain bisection" ~count:10_000
+      (make
+         ~print:(fun (a, p) -> Printf.sprintf "a = %.17g, p = %.17g" a p)
+         Gen.(
+           oneof
+             [ pair (float_range 1. 4000.) (float_bound_exclusive 1.);
+               pair
+                 (map float_of_int (int_range 1 7000))
+                 (oneofl [ 0.025; 0.975 ]);
+               map2
+                 (fun k (coverage, upper) ->
+                   let alpha = 1. -. coverage in
+                   if upper then (float_of_int k +. 1., 1. -. (alpha /. 2.))
+                   else (float_of_int k, alpha /. 2.))
+                 (int_range 1 3000)
+                 (pair
+                    (oneofl [ 0.5; 0.9; 0.99; 0.999999; 1. -. 1e-12; 1. -. epsilon_float ])
+                    bool) ]))
+      (fun (a, p) ->
+        Oracle.same_bits (Special.gamma_p_inv ~a ~p) (Oracle.Gamma_bisection.gamma_p_inv ~a ~p));
+    (* The same below a = 1, with p down to 1e-300: there the root can
+       lie below every midpoint the bisection reaches. *)
+    Test.make ~name:"gamma_p_inv is bitwise the plain bisection below a = 1" ~count:2_000
+      (make
+         ~print:(fun (a, p) -> Printf.sprintf "a = %.17g, p = %.17g" a p)
+         Gen.(pair (float_range 1e-3 1.) (map (fun e -> 10. ** -.e) (float_range 1e-6 300.))))
+      (fun (a, p) ->
+        Oracle.same_bits (Special.gamma_p_inv ~a ~p) (Oracle.Gamma_bisection.gamma_p_inv ~a ~p));
+    (* Past a ~ 1e4 a 500-term cap stops the series short near the
+       quantile (the 2.5% quantile's true P was 0.0252 at a = 1e5): the
+       quantile must satisfy P(a, q) = p against an uncapped evaluation
+       of both expansions, compared on the side where the tail is small. *)
+    Test.make ~name:"gamma_p_inv is accurate for a in [1e4, 1e7]" ~count:200
+      (make
+         ~print:(fun (a, p) -> Printf.sprintf "a = %.17g, p = %.17g" a p)
+         Gen.(
+           pair
+             (map (fun e -> 10. ** e) (float_range 4. 7.))
+             (oneof [ oneofl [ 0.025; 0.975 ]; float_range 1e-6 (1. -. 1e-6) ])))
+      (fun (a, p) ->
+        let q = Special.gamma_p_inv ~a ~p in
+        let lower, upper = uncapped_gamma_pq ~a ~x:q in
+        if p <= 0.5 then Float.abs (lower -. p) <= 1e-6 *. p
+        else Float.abs (upper -. (1. -. p)) <= 1e-6 *. (1. -. p));
     Test.make ~name:"rng stream families are pairwise disjoint" ~count:25
       (pair small_int (int_range 2 8))
       (fun (seed, n_streams) ->
@@ -789,5 +943,10 @@ let () =
         [ Alcotest.test_case "gamma known values" `Quick test_gamma_known_values;
           Alcotest.test_case "gamma recurrence" `Quick test_gamma_recurrence;
           Alcotest.test_case "log gamma large" `Quick test_log_gamma_large;
-          Alcotest.test_case "factorial" `Quick test_factorial ] );
+          Alcotest.test_case "factorial" `Quick test_factorial;
+          Alcotest.test_case "P(1, x) is 1 - e^-x" `Quick test_gamma_p_exponential;
+          Alcotest.test_case "P(n, x) is a Poisson tail" `Quick test_gamma_p_poisson_sum;
+          Alcotest.test_case "exponential quantile" `Quick test_gamma_p_inv_exponential;
+          Alcotest.test_case "Garwood 95% bounds" `Quick test_garwood_bounds;
+          Alcotest.test_case "quantile evaluation budget" `Quick test_gamma_p_inv_budget ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]

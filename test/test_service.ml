@@ -377,6 +377,28 @@ let test_protocol_errors () =
        (problem_json base_problem))
     "invalid-request"
 
+(* The largest double below 1, 1 - 2^-53, is in (0, 1), but the upper
+   bound's quantile 1 - (1 - coverage)/2 rounds to 1 there: the estimate
+   is refused as invalid-request rather than failing inside the quantile
+   search.  One ulp lower, 1 - 2^-52, is answered. *)
+let test_protocol_estimate_coverage () =
+  let service = Service.create ~workers:0 () in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let observed =
+    Service.handle_line service
+      {|{"op":"observe","events":[{"t":0,"ev":"start","scale":1000,"levels":1},{"t":10,"ev":"failure","level":1},{"t":3600,"ev":"end","completed":true}]}|}
+  in
+  Alcotest.(check bool) "observe answered" true (Protocol.response_ok observed);
+  let estimate coverage =
+    Service.handle_line service
+      (Printf.sprintf {|{"op":"estimate","coverage":%s}|} coverage)
+  in
+  (match Protocol.response_error (estimate "0.9999999999999999") with
+  | Some e -> Alcotest.(check string) "1 - 2^-53" "invalid-request" e.Protocol.code
+  | None -> Alcotest.fail "expected coverage 1 - 2^-53 to be refused");
+  Alcotest.(check bool) "1 - 2^-52 answered" true
+    (Protocol.response_ok (estimate "0.9999999999999998"))
+
 (* A pinned scale past the speedup's zero (N >= 2 n_star for the
    quadratic law) has no productive time: the fig5 problem (n_star 1e6)
    refuses it at the boundary as invalid-request, naming the value,
@@ -1122,6 +1144,7 @@ let () =
          Alcotest.test_case "error codes" `Quick test_protocol_errors;
          Alcotest.test_case "level-count mismatch" `Quick test_protocol_level_count_mismatch;
          Alcotest.test_case "fixed_n past the speedup's range" `Quick test_protocol_scale_range;
+         Alcotest.test_case "estimate coverage next to 1" `Quick test_protocol_estimate_coverage;
          Alcotest.test_case "check_problem raises" `Quick test_check_problem_direct;
          Alcotest.test_case "ops list matches the router" `Quick test_protocol_ops_list ]);
       ("wire",

@@ -14,7 +14,6 @@ type solution = {
   wall_clock : float;
   iterations : int;
   f_evals : int;
-  fallbacks : int;
   converged : bool;
 }
 
@@ -211,7 +210,7 @@ let optimize_reference ?(tol = 1e-6) ?(max_iter = 10_000) ?(n_max = 1e9) ?fixed_
   let rec loop xs n iter =
     if iter >= max_iter then
       { xs; n; wall_clock = expected_wall_clock p ~xs ~n; iterations = iter;
-        f_evals = !evals; fallbacks = 0; converged = false }
+        f_evals = !evals; converged = false }
     else begin
       let xs' = Array.copy xs in
       for level = 1 to num_levels p do
@@ -228,8 +227,7 @@ let optimize_reference ?(tol = 1e-6) ?(max_iter = 10_000) ?(n_max = 1e9) ?fixed_
       if dx <= tol && Float.abs (n' -. n) <= 0.5 then
         { xs = xs'; n = n';
           wall_clock = expected_wall_clock p ~xs:xs' ~n:n';
-          iterations = iter + 1; f_evals = !evals; fallbacks = 0;
-          converged = true }
+          iterations = iter + 1; f_evals = !evals; converged = true }
       else loop xs' n' (iter + 1)
     end
   in

@@ -28,9 +28,6 @@ type solution = {
   wall_clock : float;
   iterations : int;
   f_evals : int;  (** Eq. 24 derivative evaluations spent in scale searches *)
-  fallbacks : int;
-      (** safeguard reversions taken by the accelerated solver (always 0
-          for {!optimize_reference}) *)
   converged : bool;
 }
 

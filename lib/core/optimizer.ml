@@ -94,7 +94,7 @@ let mu_values p ~estimate ~n =
       Failure_spec.rate_per_second p.spec ~level:(idx + 1) ~scale:n *. estimate)
 
 let finish p ~(sol : Multilevel.solution) ~estimate ~outer ~inner ~f_evals
-    ~fallbacks ~converged =
+    ~converged =
   let params = multilevel_params p ~estimate in
   let breakdown = Multilevel.breakdown params ~xs:sol.Multilevel.xs ~n:sol.Multilevel.n in
   { xs = sol.Multilevel.xs;
@@ -106,13 +106,13 @@ let finish p ~(sol : Multilevel.solution) ~estimate ~outer ~inner ~f_evals
     outer_iterations = outer;
     inner_iterations = inner;
     f_evals;
-    fallbacks;
+    fallbacks = 0;
     converged }
 
 (* The plan reported when the failure burden exceeds what any checkpoint
    schedule can absorb (paper Section III-D discusses this divergence for
    "extremely high" failure rates): the expected wall clock is unbounded. *)
-let divergent_plan p ~n ~outer ~inner ~f_evals ~fallbacks =
+let divergent_plan p ~n ~outer ~inner ~f_evals =
   { xs = Array.make (Array.length p.levels) 1.;
     n;
     wall_clock = infinity;
@@ -124,7 +124,7 @@ let divergent_plan p ~n ~outer ~inner ~f_evals ~fallbacks =
     outer_iterations = outer;
     inner_iterations = inner;
     f_evals;
-    fallbacks;
+    fallbacks = 0;
     converged = false }
 
 (* A warm plan is usable only if it describes the same hierarchy and
@@ -162,7 +162,7 @@ let solve_reference ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9)
   in
   let rec outer_loop estimate prev_mus init outer inner f_evals =
     if not (Float.is_finite estimate) then
-      divergent_plan p ~n:n0 ~outer ~inner ~f_evals ~fallbacks:0
+      divergent_plan p ~n:n0 ~outer ~inner ~f_evals
     else begin
       let params = multilevel_params p ~estimate in
       let sol = Multilevel.optimize_reference ?fixed_n ~n_max ?init params in
@@ -171,7 +171,6 @@ let solve_reference ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9)
       let estimate' = sol.Multilevel.wall_clock in
       if not (Float.is_finite estimate') then
         divergent_plan p ~n:sol.Multilevel.n ~outer:(outer + 1) ~inner ~f_evals
-          ~fallbacks:0
       else begin
         let mus' = mu_values p ~estimate:estimate' ~n:sol.Multilevel.n in
         let drift =
@@ -182,7 +181,6 @@ let solve_reference ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9)
         in
         if drift <= delta || outer + 1 >= max_outer then
           finish p ~sol ~estimate:estimate' ~outer:(outer + 1) ~inner ~f_evals
-            ~fallbacks:0
             ~converged:(drift <= delta && sol.Multilevel.converged)
         else
           (* Rounds after the first run cold (init = None) on the plain
@@ -205,13 +203,12 @@ let solve_reference ?(delta = 1e-9) ?(max_outer = 1_000) ?fixed_n ?(n_max = 1e9)
    Every evaluation kernel and fill is bit-identical to its closure-
    evaluated [Multilevel] reference; the iteration itself is accelerated
    — ITP for the Eq. 24 scale search on one bisection lattice, seeded
-   from the previous inner iterate, safeguarded Aitken on the xs fixed
-   point, Newton steps on the outer estimate with the derivative read
-   off each round's plan, warm-seeded and inexact early rounds confirmed
-   by a cold one, plus cross-row warm starts in a batch — so each plan
-   is plan-equivalent to [solve_reference] of the same job (same integer
-   scale, E(T_w) within 1e-9 relative), which test/test_fastpath.ml
-   property-tests. *)
+   from the previous inner iterate, Newton steps on the outer estimate
+   with the derivative read off each round's plan, warm-seeded and
+   inexact early rounds confirmed by a cold one, plus cross-row warm
+   starts in a batch — so each plan is plan-equivalent to
+   [solve_reference] of the same job (same integer scale, E(T_w) within
+   1e-9 relative), which test/test_fastpath.ml property-tests. *)
 
 module Batch = Ckpt_fastpath.Batch
 
@@ -367,15 +364,15 @@ let batch_solve_scale b p ~row ~n_hi () =
   end
 
 (* The inner optimizer on one row: [Multilevel.optimize_reference]'s
-   iteration (at most 10,000 iterations) accelerated, stopping once the
-   xs step is at most the round's tolerance in [slot_tol] and the scale
-   moved by at most 0.5.  The solved scale lands in [slot_n] and its
-   E(T_w) in [slot_wall]; returns the iteration count, with the
-   converged flag as the sign bit (a tuple or closure here would
-   allocate once per outer round).  The loop and its finisher are
-   top-level functions, and the scale iterate, tolerance and Aitken
-   state ride in scalar slots, because local closures and float loop
-   arguments allocate per call under the non-flambda compiler. *)
+   iteration (at most 10,000 iterations), stopping once the xs step is
+   at most the round's tolerance in [slot_tol] and the scale moved by at
+   most 0.5.  The solved scale lands in [slot_n] and its E(T_w) in
+   [slot_wall]; returns the iteration count, with the converged flag as
+   the sign bit (a tuple or closure here would allocate once per outer
+   round).  The loop and its finisher are top-level functions, and the
+   scale iterate and tolerance ride in scalar slots, because local
+   closures and float loop arguments allocate per call under the
+   non-flambda compiler. *)
 let batch_opt_finish b p ~row n iter converged =
   batch_fill b p ~row n;
   b.Batch.s.(Batch.slot_n) <- n;
@@ -383,23 +380,12 @@ let batch_opt_finish b p ~row n iter converged =
     Batch.expected_wall_clock b ~row ~te:p.te ~alloc:p.alloc;
   if converged then iter else -iter
 
-(* Step discipline (Steffensen cadence with a residual safeguard): plain
-   Gauss–Seidel steps build a three-iterate history; once three
-   consecutive plain steps are banked — enough for the Young-init
-   transient to die out, measured on the paper's Table II corpus —
-   [Batch.aitken] extrapolates the geometric tail and the *next* step
-   measures the extrapolated iterate's residual.  If it beat the last
-   plain residual the jump is kept and the history restarts from scratch
-   (the post-jump steps are their own transient); otherwise the step is
-   reverted to the saved plain iterate and counted as a fallback — so a
-   rejected extrapolation costs one iteration and never changes what the
-   plain iteration would have produced.
-
-   Each free-scale search starts from the scale the sweep just ran at
-   ([slot_n]) and probes its ±0.5 neighbourhood first
-   ([batch_solve_scale]).  The seed changes which probes are evaluated,
-   never the root. *)
-let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
+(* Plain Gauss–Seidel steps: sweep Eq. 23 over the levels at the
+   current scale, then solve Eq. 24 for the next one.  Each free-scale
+   search starts from the scale the sweep just ran at ([slot_n]) and
+   probes its ±0.5 neighbourhood first ([batch_solve_scale]).  The seed
+   changes which probes are evaluated, never the root. *)
+let rec batch_opt_loop b p ~row fixed_n ~n_hi iter =
   let s = b.Batch.s in
   let n = s.(Batch.slot_n) in
   if iter >= 10_000 then batch_opt_finish b p ~row n iter false
@@ -413,38 +399,11 @@ let rec batch_opt_loop b p ~row ~hinted fixed_n ~n_hi iter =
       | None -> batch_solve_scale b p ~row ~n_hi ()
     in
     let dx = Batch.max_abs_diff_xs b ~row in
-    let pending = s.(Batch.slot_accel) = 1. in
-    s.(Batch.slot_accel) <- 0.;
-    if pending && not (Float.is_finite dx && dx < s.(Batch.slot_dxref)) then begin
-      (* The extrapolated iterate did not contract: revert to the saved
-         plain iterate and scale, whose convergence test already ran
-         (and failed), and resume unaccelerated from there. *)
-      s.(Batch.slot_fallbacks) <- s.(Batch.slot_fallbacks) +. 1.;
-      Batch.restore_xs b ~row;
-      s.(Batch.slot_n) <- s.(Batch.slot_nsafe);
-      s.(Batch.slot_hist) <- 0.;
-      batch_opt_loop b p ~row ~hinted fixed_n ~n_hi (iter + 1)
-    end
+    if dx <= s.(Batch.slot_tol) && Float.abs (n' -. n) <= 0.5 then
+      batch_opt_finish b p ~row n' (iter + 1) true
     else begin
-      s.(Batch.slot_hist) <- (if pending then 0. else s.(Batch.slot_hist) +. 1.);
-      if dx <= s.(Batch.slot_tol) && Float.abs (n' -. n) <= 0.5 then
-        batch_opt_finish b p ~row n' (iter + 1) true
-      else begin
-        s.(Batch.slot_n) <- n';
-        (* Warm (hinted) solves skip Aitken: they start inside the
-           contraction ball, where the step history is the seed's
-           tol-scale path noise rather than a geometric tail, so attempts
-           are almost always rejected — each one a wasted iteration and
-           a counted fallback. *)
-        if (not hinted) && s.(Batch.slot_hist) >= 3. && Batch.aitken b ~row
-        then begin
-          s.(Batch.slot_accel) <- 1.;
-          s.(Batch.slot_dxref) <- dx;
-          s.(Batch.slot_nsafe) <- n';
-          s.(Batch.slot_hist) <- 0.
-        end;
-        batch_opt_loop b p ~row ~hinted fixed_n ~n_hi (iter + 1)
-      end
+      s.(Batch.slot_n) <- n';
+      batch_opt_loop b p ~row fixed_n ~n_hi (iter + 1)
     end
   end
 
@@ -466,17 +425,15 @@ let batch_optimize b p ~row ~warm fixed_n ~n_hi =
   batch_fill b p ~row n0;
   if not warm then Batch.young_init b ~row ~te:p.te;
   s.(Batch.slot_n) <- n0;
-  s.(Batch.slot_hist) <- 0.;
-  s.(Batch.slot_accel) <- 0.;
-  batch_opt_loop b p ~row ~hinted:warm fixed_n ~n_hi 0
+  batch_opt_loop b p ~row fixed_n ~n_hi 0
 
 (* Algorithm 1's outer loop on one row, allocation-free until the final
    plan record: re-estimate mu_i = lambda_i(N) * E(T_w) from each round's
    solution until the mu drift falls under [delta].  The wall-clock
    estimate rides in [slot_est] and the round's inner tolerance in
-   [slot_tol]; the f_evals/fallbacks counters accumulate in their slots
-   across rounds (reset once in [solve_batch_row]); [prev_valid] says
-   whether the [prev_mu] stripe holds a drift reference.
+   [slot_tol]; the f_evals counter accumulates in its slot across rounds
+   (reset once in [solve_batch_row]); [prev_valid] says whether the
+   [prev_mu] stripe holds a drift reference.
 
    Newton steps on the estimate: a round maps e to G(e), the optimal
    E(T_w) when the mu slopes are lambda'_i * e.  At fixed (xs, N),
@@ -512,7 +469,6 @@ let rec batch_outer b ~row ~delta ~max_outer ~n_hi (p : problem) fixed_n
     let n0 = match fixed_n with Some n -> n | None -> n_hi in
     divergent_plan p ~n:n0 ~outer ~inner
       ~f_evals:(int_of_float s.(Batch.slot_fevals))
-      ~fallbacks:(int_of_float s.(Batch.slot_fallbacks))
   else begin
     for i = 0 to nl - 1 do
       b.Batch.slope.(off + i) <-
@@ -527,7 +483,6 @@ let rec batch_outer b ~row ~delta ~max_outer ~n_hi (p : problem) fixed_n
     if not (Float.is_finite estimate') then
       divergent_plan p ~n:n_sol ~outer:(outer + 1) ~inner
         ~f_evals:(int_of_float s.(Batch.slot_fevals))
-        ~fallbacks:(int_of_float s.(Batch.slot_fallbacks))
     else begin
       for i = 0 to nl - 1 do
         b.Batch.mu.(off + i) <-
@@ -543,13 +498,11 @@ let rec batch_outer b ~row ~delta ~max_outer ~n_hi (p : problem) fixed_n
             wall_clock = estimate';
             iterations = iters;
             f_evals = int_of_float s.(Batch.slot_fevals);
-            fallbacks = int_of_float s.(Batch.slot_fallbacks);
             converged = inner_converged }
         in
         let converged = if drift <= delta then inner_converged else false in
         finish p ~sol ~estimate:estimate' ~outer:(outer + 1) ~inner
-          ~f_evals:sol.Multilevel.f_evals ~fallbacks:sol.Multilevel.fallbacks
-          ~converged
+          ~f_evals:sol.Multilevel.f_evals ~converged
       end
       else begin
         (* The Newton step is gated a priori — G' < 1, and the step
@@ -630,7 +583,6 @@ let solve_batch_row b ~row ~max_outer ~n_max ?warm (j : batch_job) =
   let n_hi = Speedup.search_upper_bound p.speedup ~default:n_max in
   let s = b.Batch.s in
   s.(Batch.slot_fevals) <- 0.;
-  s.(Batch.slot_fallbacks) <- 0.;
   s.(Batch.slot_tol) <- 0.1;
   match usable_warm p warm with
   | Some w ->
@@ -708,11 +660,10 @@ let solve_batch ?(max_outer = 1_000) ?(n_max = 1e9) (jobs : batch_job array) =
         if row = 0 || not (jobs.(row - 1).problem == j.problem) then
           check_problem j.problem)
       jobs;
-    (* Walk the rows in scale order (the same neighbour discipline as
-       [sweep]) so each solve can seed from the nearest already-converged
-       row: neighbouring scales have neighbouring fixed points, so the
-       warm row resumes a contraction that is already nearly done.
-       Results return in input order. *)
+    (* Walk the rows in scale order so each solve can seed from the
+       nearest already-converged row: neighbouring scales have
+       neighbouring fixed points, so the warm row resumes a contraction
+       that is already nearly done.  Results return in input order. *)
     let scale_of (j : batch_job) =
       match j.fixed_n with
       | Some n -> n
@@ -779,77 +730,6 @@ let classify plan =
 let solve_outcome ?delta ?max_outer ?fixed_n ?n_max ?inject p =
   classify (solve_batch ?max_outer ?n_max [| batch_job ?delta ?fixed_n ?inject p |]).(0)
 
-type sweep_axis = [ `Scale | `Te | `Alloc ]
-
-type sweep_stats = {
-  points : int;
-  warm_starts : int;
-  inner_iterations : int;
-  outer_iterations : int;
-  f_evals : int;
-}
-
-let sweep ?delta ?(n_max = 1e9) ?(warm = true) ~axis ~values p =
-  check_problem p;
-  Array.iteri
-    (fun i v ->
-      let bad =
-        match axis with
-        | `Scale | `Te -> not (Float.is_finite v) || v <= 0.
-        | `Alloc -> not (Float.is_finite v) || v < 0.
-      in
-      if bad then
-        invalid_arg (Printf.sprintf "Optimizer.sweep: bad value %g at index %d" v i))
-    values;
-  let points = Array.length values in
-  (* Walk the grid in neighbour (sorted-value) order so each solve can
-     reuse the previous converged plan; results return in input order. *)
-  let order = Array.init points Fun.id in
-  Array.sort
-    (fun i j ->
-      match compare values.(i) values.(j) with 0 -> compare i j | c -> c)
-    order;
-  let plans = Array.make points None in
-  let prev = ref None in
-  let warm_starts = ref 0 and inner = ref 0 and outer = ref 0 in
-  let fevals = ref 0 in
-  Array.iter
-    (fun idx ->
-      let v = values.(idx) in
-      let problem, fixed_n =
-        match axis with
-        | `Scale -> (p, Some v)
-        | `Te -> ({ p with te = v }, None)
-        | `Alloc -> ({ p with alloc = v }, None)
-      in
-      let warm_plan = if warm then !prev else None in
-      if Option.is_some warm_plan then incr warm_starts;
-      let plan = solve ?delta ?fixed_n ~n_max ?warm:warm_plan problem in
-      inner := !inner + plan.inner_iterations;
-      outer := !outer + plan.outer_iterations;
-      fevals := !fevals + plan.f_evals;
-      plans.(idx) <- Some plan;
-      (* A divergent or unconverged plan would poison its neighbour's
-         start; break the chain and let the next point solve cold. *)
-      prev :=
-        if plan.converged && Float.is_finite plan.wall_clock then Some plan
-        else None)
-    order;
-  let plans =
-    Array.map (function Some plan -> plan | None -> assert false) plans
-  in
-  ( plans,
-    { points;
-      warm_starts = !warm_starts;
-      inner_iterations = !inner;
-      outer_iterations = !outer;
-      f_evals = !fevals } )
-
-let pp_sweep_stats ppf s =
-  Format.fprintf ppf
-    "%d points, %d warm-started, %d inner / %d outer iterations, %d f-evals"
-    s.points s.warm_starts s.inner_iterations s.outer_iterations s.f_evals
-
 let single_level_problem p =
   let last = p.levels.(Array.length p.levels - 1) in
   let total =
@@ -879,10 +759,10 @@ let sl_ori_scale ?n p =
   let wall_clock = Multilevel.expected_wall_clock params ~xs ~n in
   let sol =
     { Multilevel.xs; n; wall_clock; iterations = 0; f_evals = 0;
-      fallbacks = 0; converged = true }
+      converged = true }
   in
   finish sl ~sol ~estimate:productive ~outer:0 ~inner:0 ~f_evals:0
-    ~fallbacks:0 ~converged:true
+    ~converged:true
 
 let sl_daly_scale ?n p =
   let sl = single_level_problem p in
@@ -901,10 +781,10 @@ let sl_daly_scale ?n p =
   let wall_clock = Multilevel.expected_wall_clock params ~xs ~n in
   let sol =
     { Multilevel.xs; n; wall_clock; iterations = 0; f_evals = 0;
-      fallbacks = 0; converged = true }
+      converged = true }
   in
   finish sl ~sol ~estimate:productive ~outer:0 ~inner:0 ~f_evals:0
-    ~fallbacks:0 ~converged:true
+    ~converged:true
 
 let pp_plan ppf t =
   let b = t.breakdown in
@@ -912,7 +792,7 @@ let pp_plan ppf t =
     "@[<v>xs = [%s]@ N = %.0f@ E(Tw) = %.4g s (%.3f days)@ mus = [%s]@ \
      portions: productive=%.4g ckpt=%.4g restart=%.4g alloc=%.4g rollback=%.4g@ \
      efficiency = %.4f@ iterations: outer=%d inner=%d f_evals=%d \
-     fallbacks=%d converged=%b@]"
+     converged=%b@]"
     (String.concat "; "
        (Array.to_list (Array.map (fun x -> Printf.sprintf "%.1f" x) t.xs)))
     t.n t.wall_clock
@@ -921,4 +801,4 @@ let pp_plan ppf t =
        (Array.to_list (Array.map (fun m -> Printf.sprintf "%.2f" m) t.mus)))
     b.Multilevel.productive b.Multilevel.checkpoint b.Multilevel.restart
     b.Multilevel.allocation b.Multilevel.rollback t.efficiency t.outer_iterations
-    t.inner_iterations t.f_evals t.fallbacks t.converged
+    t.inner_iterations t.f_evals t.converged

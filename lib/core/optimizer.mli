@@ -30,10 +30,8 @@ type plan = {
   inner_iterations : int;  (** total inner fixed-point iterations *)
   f_evals : int;  (** Eq. 24 derivative evaluations across all scale searches *)
   fallbacks : int;
-      (** safeguard reversions: Aitken extrapolations whose iterate
-          failed to beat the plain step's residual and were rolled back
-          (always 0 on {!solve_reference}, and 0 on the paper's Table II
-          corpus — the CI bench-smoke job gates on that) *)
+      (** always 0: the solver no longer has a step it reverts.  Kept so
+          plan JSON and snapshots keep their shape. *)
   converged : bool;
 }
 
@@ -80,9 +78,6 @@ val solve :
       recurrence replayed exactly over [1, n_hi], so every search of
       every round lands on one lattice and the scale is a function of
       the xs alone);
-    - safeguarded Aitken extrapolation of the xs fixed point inside
-      each cold round (reverted, and counted in [fallbacks], whenever
-      an extrapolated iterate fails to reduce the residual);
     - Newton steps on the outer wall-clock estimate, whose derivative
       G'(e) = F/e comes free from the round's plan (F the restart,
       allocation and rollback part of E(T_w), by the envelope theorem),
@@ -96,8 +91,9 @@ val solve :
       meets it too, so the returned scale does not depend on the
       seeding path.  Two non-improving warm rounds also switch to cold
       rounds.
-    The contract against {!solve_reference} is plan equivalence: same
-    integer scale, E(T_w) within 1e-9 relative. *)
+    The xs fixed point itself takes the reference's plain Gauss–Seidel
+    steps.  The contract against {!solve_reference} is plan
+    equivalence: same integer scale, E(T_w) within 1e-9 relative. *)
 
 val solve_reference :
   ?delta:float ->
@@ -110,9 +106,9 @@ val solve_reference :
 (** {!solve} with plain bisection, plain fixed-point steps and cold
     outer rounds after the first ({!Multilevel.optimize_reference},
     every term evaluated through the model closures, no workspace) —
-    the correctness oracle: {!solve}, {!solve_batch} and {!sweep} must
-    all produce plan-equivalent results, which the fastpath property
-    tests check. *)
+    the correctness oracle: {!solve} and {!solve_batch} must both
+    produce plan-equivalent results, which the fastpath property tests
+    check. *)
 
 val expected_wall_clock :
   problem -> estimate:float -> xs:float array -> n:float -> float
@@ -151,13 +147,15 @@ val solve_batch :
     share those terms outright.  Plans return in job order.
 
     Rows are {e solved} in scale order ([fixed_n], else the speedup's
-    ideal scale): each row warm-starts from the nearest
-    already-converged row of the same hierarchy — seeded xs, scale
-    bracket and mu estimate — the cross-row twin of {!sweep}'s
-    neighbour walk.  The same hierarchy means the same [levels] array,
-    physically: rows whose problems were built separately (say, parsed
-    from two JSON objects) never seed each other, even when their
-    levels are equal, so each solves exactly as it would alone.  A
+    ideal scale; equal scales in input order): each row warm-starts
+    from the nearest already-converged row of the same hierarchy —
+    seeded xs, scale bracket and mu estimate.  A grid sweep of one
+    problem is therefore one batch: its scales as [fixed_n] rows, or
+    its te/alloc variants ([{ p with te }], sharing [p]'s [levels]).
+    The same hierarchy means the same [levels] array, physically: rows
+    whose problems were built separately (say, parsed from two JSON
+    objects) never seed each other, even when their levels are equal,
+    so each solves exactly as it would alone.  A
     diverged row is skipped as a seed source, not a chain breaker.  A
     faulted row ([inject] set) solves cold and, since a [Diverge] or
     [Non_finite] row cannot converge, never becomes a seed.
@@ -204,39 +202,6 @@ val solve_outcome :
     estimate so the loop's own finiteness guard trips; both solve cold
     and exercise the real failure paths rather than fabricating an
     outcome.  Other faults are ignored here. *)
-
-type sweep_axis = [ `Scale | `Te | `Alloc ]
-(** Which problem coordinate a sweep varies: [`Scale] pins [fixed_n] at
-    each value, [`Te] substitutes the productive time, [`Alloc] the
-    allocation period. *)
-
-type sweep_stats = {
-  points : int;
-  warm_starts : int;  (** solves seeded from a neighbouring plan *)
-  inner_iterations : int;  (** summed over the whole grid *)
-  outer_iterations : int;
-  f_evals : int;  (** Eq. 24 evaluations summed over the whole grid *)
-}
-
-val sweep :
-  ?delta:float ->
-  ?n_max:float ->
-  ?warm:bool ->
-  axis:sweep_axis ->
-  values:float array ->
-  problem ->
-  plan array * sweep_stats
-(** [sweep ~axis ~values p] solves [p] at every grid value and returns
-    the plans aligned with [values], plus iteration totals.  The grid is
-    walked in sorted (neighbour) order so each solve warm-starts from
-    the previous converged plan — divergent or unconverged points break
-    the chain and the next point solves cold.  [warm:false] forces every
-    point to solve cold (the baseline the regression benchmark compares
-    against).  Values must be finite and positive ([`Alloc] allows 0).
-
-    @raise Invalid_argument on a bad grid value. *)
-
-val pp_sweep_stats : Format.formatter -> sweep_stats -> unit
 
 val ml_opt_scale : ?delta:float -> problem -> plan
 (** This paper's solution: all levels, optimized intervals and scale. *)

@@ -37,8 +37,6 @@ type t = {
   mutable mi_d : float array;  (* mu_i'(n) *)
   mutable xs : float array;  (* interval-count iterate *)
   mutable xs_prev : float array;  (* previous iterate, for convergence *)
-  mutable xs_prev2 : float array;  (* second-previous iterate (Aitken history) *)
-  mutable xs_safe : float array;  (* plain iterate saved across an extrapolation *)
   mutable slope : float array;  (* lambda'_i * estimate, the mu slope *)
   mutable mu : float array;  (* mu values at the row's solved scale *)
   mutable prev_mu : float array;  (* previous outer round's mu values *)
@@ -51,10 +49,10 @@ type t = {
 
 (* Shared scalar slots: the speedup terms at the filled scale, kernel
    accumulators, and the per-row solve state ([slot_n], [slot_wall],
-   [slot_est], the counters, the inner tolerance and the Aitken state)
-   that must not box across loop iterations.  Scalars live in a float
-   array because a mutable float field of a mixed record (or a
-   [float ref]) boxes on every write under the non-flambda compiler. *)
+   [slot_est], the evaluation counter and the inner tolerance) that must
+   not box across loop iterations.  Scalars live in a float array
+   because a mutable float field of a mixed record (or a [float ref])
+   boxes on every write under the non-flambda compiler. *)
 let slot_g = 0
 let slot_gd = 1
 let slot_acc = 2
@@ -64,13 +62,8 @@ let slot_n = 5
 let slot_wall = 6
 let slot_est = 7
 let slot_fevals = 8
-let slot_fallbacks = 9
-let slot_hist = 10
-let slot_accel = 11
-let slot_dxref = 12
-let slot_nsafe = 13
-let slot_tol = 14
-let num_slots = 15
+let slot_tol = 9
+let num_slots = 10
 
 let create ?(rows = 16) ?(stride = 4) () =
   let rows = max 1 rows and stride = max 1 stride in
@@ -81,7 +74,6 @@ let create ?(rows = 16) ?(stride = 4) () =
     ri = mk (); ri_d = mk ();
     mi = mk (); mi_d = mk ();
     xs = mk (); xs_prev = mk ();
-    xs_prev2 = mk (); xs_safe = mk ();
     slope = mk (); mu = mk (); prev_mu = mk ();
     nlev = Array.make rows 0;
     key = Array.make rows nan;
@@ -97,7 +89,6 @@ let reserve t ~rows ~stride =
     t.ri <- mk (); t.ri_d <- mk ();
     t.mi <- mk (); t.mi_d <- mk ();
     t.xs <- mk (); t.xs_prev <- mk ();
-    t.xs_prev2 <- mk (); t.xs_safe <- mk ();
     t.slope <- mk (); t.mu <- mk (); t.prev_mu <- mk ()
   end;
   if rows > Array.length t.nlev then begin
@@ -206,49 +197,11 @@ let young_init t ~row ~te =
        else Float.max 1. (sqrt (t.mi.(i) *. te /. g /. (2. *. ci))))
   done
 
-(* Push the row's iterate history down one step: [xs_prev -> xs_prev2],
-   [xs -> xs_prev].  Run before a sweep so that afterwards
-   [xs_prev2, xs_prev, xs] are three consecutive iterates. *)
+(* Save the row's iterate to [xs_prev] before a sweep, so that
+   afterwards [xs_prev, xs] are two consecutive iterates. *)
 let rotate_xs t ~row =
   let off = row * t.stride in
-  Array.blit t.xs_prev off t.xs_prev2 off t.nlev.(row);
   Array.blit t.xs off t.xs_prev off t.nlev.(row)
-
-(* Componentwise Aitken delta-squared extrapolation over the row's last
-   three iterates [x0 = xs_prev2, x1 = xs_prev, x2 = xs]: the
-   geometric-series limit estimate [x2 - (x2-x1)^2 / ((x2-x1) - (x1-x0))].
-   The plain iterate is first saved to [xs_safe] so a rejected step can
-   be reverted.  A component keeps its plain value when the correction
-   is non-finite (vanishing denominator) or implausibly large relative
-   to the recent steps; the result is clamped to the model's [x >= 1]
-   domain.  Returns [true] when at least one component actually moved. *)
-let aitken t ~row =
-  let off = row * t.stride in
-  let last = off + t.nlev.(row) - 1 in
-  Array.blit t.xs off t.xs_safe off t.nlev.(row);
-  let moved = ref false in
-  for i = off to last do
-    let x2 = t.xs.(i) in
-    let d2 = x2 -. t.xs_prev.(i) in
-    let d1 = t.xs_prev.(i) -. t.xs_prev2.(i) in
-    let corr = d2 *. d2 /. (d2 -. d1) in
-    if
-      Float.is_finite corr
-      && Float.abs corr <= 1e6 *. (Float.abs d1 +. Float.abs d2)
-    then begin
-      let z = Float.max 1. (x2 -. corr) in
-      if z <> x2 then begin
-        t.xs.(i) <- z;
-        moved := true
-      end
-    end
-  done;
-  !moved
-
-(* Revert a rejected extrapolation: [xs <- xs_safe] on the row. *)
-let restore_xs t ~row =
-  let off = row * t.stride in
-  Array.blit t.xs_safe off t.xs off t.nlev.(row)
 
 (* [Fixed_point.max_abs_diff] of [xs_prev] and [xs] over the row's live
    prefix. *)

@@ -27,8 +27,6 @@ type t = {
   mutable mi_d : float array;
   mutable xs : float array;
   mutable xs_prev : float array;
-  mutable xs_prev2 : float array;
-  mutable xs_safe : float array;
   mutable slope : float array;
   mutable mu : float array;
   mutable prev_mu : float array;
@@ -48,9 +46,7 @@ val slot_gd : int
 (** Speedup derivative [g'(n)] at the scale last filled. *)
 
 val slot_acc : int
-val slot_acc2 : int
-val slot_acc3 : int
-(** Accumulator scratch owned by whichever kernel is running. *)
+(** Accumulator scratch owned by whichever kernel or loop is running. *)
 
 val slot_n : int
 (** The solver's scale iterate — kept in a slot because a float argument
@@ -65,29 +61,9 @@ val slot_est : int
 val slot_fevals : int
 (** Running count of Eq. 24 evaluations during the row's solve. *)
 
-val slot_fallbacks : int
-(** Running count of rejected (safeguard-reverted) extrapolations. *)
-
-val slot_hist : int
-(** Consecutive plain fixed-point steps since the Aitken history was
-    last reset. *)
-
-val slot_accel : int
-(** 1. while [xs] holds an extrapolated iterate whose residual has not
-    been measured yet, else 0. *)
-
-val slot_dxref : int
-(** Residual of the plain step preceding a pending extrapolation — the
-    bar the extrapolated step must beat to be accepted. *)
-
-val slot_nsafe : int
-(** Scale iterate paired with [xs_safe], restored on rejection. *)
-
 val slot_tol : int
 (** The current outer round's inner stop: the xs step at or below which
     the round's fixed point counts as converged. *)
-
-val num_slots : int
 
 val create : ?rows:int -> ?stride:int -> unit -> t
 (** Allocate a batch workspace; it grows on {!reserve}. *)
@@ -119,16 +95,7 @@ val max_abs_diff_xs : t -> row:int -> float
     inner fixed point's convergence metric. *)
 
 val rotate_xs : t -> row:int -> unit
-(** Push the row's iterate history down one step ([xs_prev -> xs_prev2],
-    [xs -> xs_prev]) before a sweep. *)
-
-val aitken : t -> row:int -> bool
-(** Safeguarded componentwise Aitken delta-squared extrapolation of the
-    row's last three iterates, plain iterate saved for {!restore_xs};
-    returns [true] iff some component moved. *)
-
-val restore_xs : t -> row:int -> unit
-(** Revert a rejected extrapolation on one row's stripe. *)
+(** Save the row's [xs] to [xs_prev] before a sweep. *)
 
 val mu_drift : t -> row:int -> float
 (** Max absolute difference between the row's [prev_mu] and [mu]

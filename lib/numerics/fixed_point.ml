@@ -1,26 +1,3 @@
-type 'a result = { value : 'a; iterations : int; converged : bool }
-
-exception Diverged of string
-
-let iterate ?(max_iter = 10_000) ?(on_failure = `Return_last) ~step ~distance ~tol x0 =
-  let rec loop x iter =
-    if iter >= max_iter then
-      match on_failure with
-      | `Raise -> raise (Diverged (Printf.sprintf "fixed point: %d iterations exhausted" iter))
-      | `Return_last -> { value = x; iterations = iter; converged = false }
-    else begin
-      let x' = step x in
-      if distance x x' <= tol then { value = x'; iterations = iter + 1; converged = true }
-      else loop x' (iter + 1)
-    end
-  in
-  loop x0 0
-
-let iterate_scalar ?(max_iter = 10_000) ?(damping = 1.) ~step ~tol x0 =
-  assert (damping > 0. && damping <= 1.);
-  let damped_step x = ((1. -. damping) *. x) +. (damping *. step x) in
-  iterate ~max_iter ~step:damped_step ~distance:(fun a b -> Float.abs (a -. b)) ~tol x0
-
 let max_abs_diff xs ys =
   assert (Array.length xs = Array.length ys);
   let acc = ref 0. in

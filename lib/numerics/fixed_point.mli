@@ -1,45 +1,11 @@
-(** Generic fixed-point iteration drivers.
+(** The convergence metric of the paper's fixed-point iterations.
 
-    Both loops of the paper's Algorithm 1 are fixed-point iterations: the
-    inner loop alternates the interval updates (Eq. 16/23) with the scale
-    update (Eq. 17/24), and the outer loop re-estimates the expected failure
-    counts [mu_i] until they stop moving.  This module factors the shared
-    machinery: iteration budget, convergence criterion, optional damping,
-    and iteration-count reporting (the paper reports 7–15 outer and 30–40
-    single-level iterations). *)
-
-type 'a result = {
-  value : 'a;
-  iterations : int;
-  converged : bool;
-}
-
-exception Diverged of string
-(** Raised by [~on_failure:`Raise] drivers when the budget is exhausted. *)
-
-val iterate :
-  ?max_iter:int ->
-  ?on_failure:[ `Raise | `Return_last ] ->
-  step:('a -> 'a) ->
-  distance:('a -> 'a -> float) ->
-  tol:float ->
-  'a ->
-  'a result
-(** [iterate ~step ~distance ~tol x0] repeats [x <- step x] until
-    [distance x (step x) <= tol].  Default [max_iter] is 10,000.
-    [`Return_last] (default) reports [converged = false] instead of
-    raising. *)
-
-val iterate_scalar :
-  ?max_iter:int ->
-  ?damping:float ->
-  step:(float -> float) ->
-  tol:float ->
-  float ->
-  float result
-(** Scalar convenience wrapper.  [damping] in [(0, 1\]] (default 1) blends
-    [x' = (1 - damping) * x + damping * step x], which tames oscillating
-    iterations. *)
+    Both loops of Algorithm 1 are fixed-point iterations: the inner loop
+    alternates the interval updates (Eq. 16/23) with the scale update
+    (Eq. 17/24), and the outer loop re-estimates the expected failure
+    counts [mu_i] until they stop moving.  The loops themselves live in
+    [Ckpt_model.Multilevel.optimize_reference] and
+    [Ckpt_model.Optimizer]; both measure a step with this distance. *)
 
 val max_abs_diff : float array -> float array -> float
 (** Pointwise infinity-norm distance; the convergence test of Algorithm 1

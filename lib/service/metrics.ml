@@ -24,7 +24,6 @@ type solver_work = {
   inner_iterations : int;
   outer_iterations : int;
   f_evals : int;
-  fallbacks : int;
 }
 
 type t = {
@@ -58,8 +57,7 @@ let create () =
     retries = 0;
     breaker_trips = 0;
     solver =
-      { rows = 0; inner_iterations = 0; outer_iterations = 0; f_evals = 0;
-        fallbacks = 0 };
+      { rows = 0; inner_iterations = 0; outer_iterations = 0; f_evals = 0 };
     solve_ms = Buffer.create ();
     replan_ms = Buffer.create ();
     batch_ms = Buffer.create () }
@@ -77,15 +75,14 @@ let incr_degraded t = locked t (fun () -> t.degraded <- t.degraded + 1)
 let add_retries t n = locked t (fun () -> t.retries <- t.retries + n)
 let incr_breaker_trip t = locked t (fun () -> t.breaker_trips <- t.breaker_trips + 1)
 
-let add_solver_work t ~rows ~inner ~outer ~f_evals ~fallbacks =
+let add_solver_work t ~rows ~inner ~outer ~f_evals =
   locked t (fun () ->
       let w = t.solver in
       t.solver <-
         { rows = w.rows + rows;
           inner_iterations = w.inner_iterations + inner;
           outer_iterations = w.outer_iterations + outer;
-          f_evals = w.f_evals + f_evals;
-          fallbacks = w.fallbacks + fallbacks })
+          f_evals = w.f_evals + f_evals })
 
 let record_solve_ms t ms = locked t (fun () -> Buffer.add t.solve_ms ms)
 let record_replan_ms t ms = locked t (fun () -> Buffer.add t.replan_ms ms)
@@ -193,8 +190,7 @@ let to_json ?cache_evictions t =
          [ ("rows", count s.solver.rows);
            ("inner_iterations", count s.solver.inner_iterations);
            ("outer_iterations", count s.solver.outer_iterations);
-           ("f_evals", count s.solver.f_evals);
-           ("fallbacks", count s.solver.fallbacks) ]);
+           ("f_evals", count s.solver.f_evals) ]);
       ("solves", Json.Number (float_of_int s.solves));
       ("solve_ms", series_json s.solve_ms);
       ("replans", Json.Number (float_of_int s.replans));

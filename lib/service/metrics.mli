@@ -4,7 +4,7 @@
     shutdown report print: request/error/query counters, cache hit and
     miss totals (counted here, not in {!Lru_cache} — deduplication
     within a batch also counts as a hit), the solver work behind the
-    served plans (iterations, Eq. 24 evaluations, fallbacks), and
+    served plans (iterations and Eq. 24 evaluations), and
     latency sample series (solves, replans, whole batches) summarized
     with {!Ckpt_numerics.Stats} plus p50/p90/p95/p99 quantiles.
 
@@ -42,9 +42,9 @@ val incr_breaker_trip : t -> unit
 (** The circuit breaker opened (primary path suspended). *)
 
 val add_solver_work :
-  t -> rows:int -> inner:int -> outer:int -> f_evals:int -> fallbacks:int -> unit
+  t -> rows:int -> inner:int -> outer:int -> f_evals:int -> unit
 (** Solver work behind served plans: [rows] plans and the sums of their
-    inner/outer iteration, Eq. 24 evaluation and fallback counts. *)
+    inner/outer iteration and Eq. 24 evaluation counts. *)
 
 (** {1 Latency series} *)
 
@@ -74,7 +74,6 @@ type solver_work = {
   inner_iterations : int;
   outer_iterations : int;
   f_evals : int;
-  fallbacks : int;
 }
 (** The {!add_solver_work} totals since {!create}. *)
 

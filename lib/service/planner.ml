@@ -380,21 +380,19 @@ let next_miss t query =
    metrics once, on the coordinator: a row per served plan (a degraded
    answer counts its fallback's plan, a closed form zero iterations). *)
 let record_work t solved =
-  let rows = ref 0 and inner = ref 0 and outer = ref 0 in
-  let f_evals = ref 0 and fallbacks = ref 0 in
+  let rows = ref 0 and inner = ref 0 and outer = ref 0 and f_evals = ref 0 in
   for i = 0 to Array.length solved - 1 do
     match solved.(i) with
     | _, Ok { Protocol.plan; _ }, _ ->
         incr rows;
         inner := !inner + plan.Optimizer.inner_iterations;
         outer := !outer + plan.Optimizer.outer_iterations;
-        f_evals := !f_evals + plan.Optimizer.f_evals;
-        fallbacks := !fallbacks + plan.Optimizer.fallbacks
+        f_evals := !f_evals + plan.Optimizer.f_evals
     | _, Error _, _ -> ()
   done;
   if !rows > 0 then
     Metrics.add_solver_work t.metrics ~rows:!rows ~inner:!inner ~outer:!outer
-      ~f_evals:!f_evals ~fallbacks:!fallbacks
+      ~f_evals:!f_evals
 
 (* A replan solves a *fitted* problem: the template query's spec and
    overhead laws are replaced by the session estimates.  Never cached —

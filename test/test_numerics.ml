@@ -338,24 +338,6 @@ let test_golden_minimum () =
 
 (* ---------------- Fixed point ---------------- *)
 
-let test_fixed_point_sqrt () =
-  (* Heron's iteration for sqrt 7. *)
-  let step x = 0.5 *. (x +. (7. /. x)) in
-  let r = Fixed_point.iterate_scalar ~step ~tol:1e-12 10. in
-  Alcotest.(check bool) "converged" true r.Fixed_point.converged;
-  check_close ~tol:1e-9 "sqrt 7" (sqrt 7.) r.Fixed_point.value
-
-let test_fixed_point_budget () =
-  let r = Fixed_point.iterate_scalar ~max_iter:5 ~step:(fun x -> x +. 1.) ~tol:1e-9 0. in
-  Alcotest.(check bool) "not converged" false r.Fixed_point.converged;
-  Alcotest.(check int) "budget" 5 r.Fixed_point.iterations
-
-let test_fixed_point_damping () =
-  (* x -> -x oscillates; damping 0.5 lands on the fixed point 0. *)
-  let r = Fixed_point.iterate_scalar ~damping:0.5 ~step:(fun x -> -.x) ~tol:1e-12 8. in
-  Alcotest.(check bool) "converged with damping" true r.Fixed_point.converged;
-  check_close ~tol:1e-9 "fixed point" 0. r.Fixed_point.value
-
 let test_max_abs_diff () =
   check_float "max abs diff" 3. (Fixed_point.max_abs_diff [| 1.; 5. |] [| 2.; 2. |])
 
@@ -903,10 +885,7 @@ let () =
             test_itp_integer_inner_rejected;
           Alcotest.test_case "golden section" `Quick test_golden_minimum ] );
       ( "fixed-point",
-        [ Alcotest.test_case "heron sqrt" `Quick test_fixed_point_sqrt;
-          Alcotest.test_case "budget" `Quick test_fixed_point_budget;
-          Alcotest.test_case "damping" `Quick test_fixed_point_damping;
-          Alcotest.test_case "max abs diff" `Quick test_max_abs_diff ] );
+        [ Alcotest.test_case "max abs diff" `Quick test_max_abs_diff ] );
       ( "matrix",
         [ Alcotest.test_case "solve known" `Quick test_matrix_solve_known;
           Alcotest.test_case "singular raises" `Quick test_matrix_singular;

@@ -662,8 +662,9 @@ let qcheck_service_parallel_equals_sequential =
 (* [stats] reports the solver work behind the served plans and the plan
    cache's evictions.  Twenty distinct cold free-scale plans, one line
    each: the solver block's counters equal the sums over the plans
-   answered, and at a cache capacity of 8 (eight one-entry shards, all
-   of which these fingerprints reach) twelve entries were evicted. *)
+   answered (whose [fallbacks] field reads 0), and at a cache capacity
+   of 8 (eight one-entry shards, all of which these fingerprints reach)
+   twelve entries were evicted. *)
 let test_service_stats_solver_work_and_evictions () =
   let service = Service.create ~workers:0 ~cache_capacity:8 () in
   Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
@@ -703,8 +704,12 @@ let test_service_stats_solver_work_and_evictions () =
   Alcotest.(check int) "solver outer iterations"
     (sum (fun p -> p.Optimizer.outer_iterations))
     (count [ "solver"; "outer_iterations" ]);
-  Alcotest.(check int) "solver fallbacks" (sum (fun p -> p.Optimizer.fallbacks))
-    (count [ "solver"; "fallbacks" ]);
+  Alcotest.(check int) "served plans carry no fallbacks" 0
+    (sum (fun p -> p.Optimizer.fallbacks));
+  Alcotest.(check bool) "solver block has no fallbacks field" true
+    (Option.bind (Json.member "stats" stats) (Json.member "solver")
+     |> Option.map (Json.member "fallbacks")
+     = Some None);
   Alcotest.(check int) "every shard holds a plan" 8
     (Sharded_cache.length (Planner.cache (Service.planner service)));
   Alcotest.(check int) "cache evictions" 12 (count [ "cache"; "evictions" ])

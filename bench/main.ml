@@ -376,6 +376,21 @@ let draw_free_problem rng =
     alloc = uniform 20. 120.;
     spec = Failure_spec.v ~baseline_scale:n_star (Array.map (( *. ) factor) rates) }
 
+(* The 16 non-integral floats a served plan prints: xs, n, wall_clock,
+   mus, the five-part breakdown and the efficiency. *)
+let plan_floats (p : Optimizer.plan) =
+  let b = p.Optimizer.breakdown in
+  Array.to_list p.Optimizer.xs
+  @ [ p.Optimizer.n; p.Optimizer.wall_clock ]
+  @ Array.to_list p.Optimizer.mus
+  @ [ b.Multilevel.productive; b.Multilevel.checkpoint; b.Multilevel.restart;
+      b.Multilevel.allocation; b.Multilevel.rollback; p.Optimizer.efficiency ]
+
+let table2_plans () =
+  List.map
+    (fun case -> Optimizer.solve (E.Paper_data.eval_problem ~te_core_days:3e6 ~case ()))
+    E.Paper_data.cases
+
 let json_bench () =
   let workers = Pool.recommended_workers () in
   let reps = 5 in
@@ -667,6 +682,33 @@ let json_bench () =
           timing_obj "wall" (time_ns ~reps interval_sets);
           ("iterations", J.Obj [ ("f_evals", J.Number (float_of_int f_evals)) ]) ] ]
   in
+  (* Number printing: the 16 non-integral floats of each Table II plan,
+     96 per rep, through [Json.add_number] into one reused buffer.  Only
+     its minor words per rep go into the committed baseline. *)
+  let entries =
+    entries
+    @
+    let floats = List.concat_map plan_floats (table2_plans ()) in
+    let buf = Buffer.create 4096 in
+    (* A list holds the floats boxed, so passing one allocates nothing. *)
+    let rec print = function
+      | [] -> ()
+      | f :: rest ->
+          J.add_number buf f;
+          print rest
+    in
+    let print_all () =
+      Buffer.clear buf;
+      print floats
+    in
+    let reps = 20_000 in
+    [ J.Obj
+        [ ("kernel", J.String "json-number");
+          ("workers", J.Number 0.);
+          ("reps", J.Number (float_of_int reps));
+          ("floats_per_rep", J.Number (float_of_int (List.length floats)));
+          timing_obj "wall" (time_ns ~warmup:100 ~reps print_all) ] ]
+  in
   (* WAL append throughput: the per-op durability cost the server pays
      under --wal-dir, swept across group-commit batches.  Each rep
      appends a realistic protocol-line payload 256 times and ends with
@@ -794,6 +836,47 @@ let json_bench () =
 
 (* --- Table II gate (--table2-gate) --------------------------------------- *)
 
+(* The number rule as [Printf] renders it: the oracle for the plans'
+   printed floats. *)
+let printf_number f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let shorter = Printf.sprintf "%.12g" f in
+    if float_of_string shorter = f then shorter else Printf.sprintf "%.17g" f
+
+(* The floats a problem's cache key prints, as [%.8e] ("0" for zero). *)
+let key_floats (p : Optimizer.problem) =
+  let overhead (o : Overhead.t) = [ o.Overhead.eps; o.Overhead.alpha ] in
+  let speedup =
+    match p.Optimizer.speedup.Speedup.form with
+    | Speedup.Linear { kappa } -> [ kappa ]
+    | Speedup.Quadratic { kappa; n_star } -> [ kappa; n_star ]
+    | Speedup.Amdahl { serial_fraction; peak } | Speedup.Gustafson { serial_fraction; peak } ->
+        [ serial_fraction; peak ]
+    | Speedup.Custom -> []
+  in
+  [ p.Optimizer.alloc; p.Optimizer.spec.Failure_spec.baseline_scale ]
+  @ List.concat_map
+      (fun (l : Level.t) -> overhead l.Level.ckpt @ overhead l.Level.restart)
+      (Array.to_list p.Optimizer.levels)
+  @ Array.to_list p.Optimizer.spec.Failure_spec.rates_per_day
+  @ speedup @ [ p.Optimizer.te ]
+
+let printf_key x = if x = 0. then "0" else Printf.sprintf "%.8e" x
+
+(* The renderings of [floats] that differ from [printf]'s, plus the
+   calls of libc's formatter they took; each is reported. *)
+let printing_failures ~what ~render ~printf floats =
+  let before = Ckpt_json.Float_digits.fallbacks () in
+  let differ = List.filter (fun f -> render f <> printf f) floats in
+  let fallbacks = Ckpt_json.Float_digits.fallbacks () - before in
+  List.iter
+    (fun f -> Printf.printf "! %s %h prints %s, Printf %s\n" what f (render f) (printf f))
+    differ;
+  if fallbacks > 0 then Printf.printf "! %s: %d libc fallback(s)\n" what fallbacks;
+  List.length differ + fallbacks
+
 (* CI's bench-smoke job runs this after the timing kernels: every case
    of the paper's Table II corpus is solved on both the accelerated and
    the reference path, the per-case iteration histogram is written to
@@ -801,7 +884,9 @@ let json_bench () =
    status is 1 if any accelerated solve failed plan equivalence (same
    integer scale, E(T_w) within 1e-9 relative), spent more inner
    iterations than the reference, or reported [fallbacks] other than 0
-   (a plan field the solver always sets to 0). *)
+   (a plan field the solver always sets to 0) — or if a float of a plan
+   or of its cache key took libc's branch or printed other than
+   [Printf] prints it. *)
 let table2_gate () =
   let cases =
     [ "16-12-8-4"; "8-6-4-2"; "4-3-2-1"; "16-8-4-2"; "8-4-2-1"; "4-2-1-0.5" ]
@@ -821,15 +906,26 @@ let table2_gate () =
           Float.round fast.Optimizer.n = Float.round slow.Optimizer.n
           && wall_rel <= 1e-9
         in
+        let printing =
+          let module Fingerprint = Ckpt_service.Fingerprint in
+          printing_failures ~what:(case ^ " plan") ~render:J.number_to_string
+            ~printf:printf_number (plan_floats fast)
+          + printing_failures ~what:(case ^ " key")
+              ~render:(Fingerprint.float_repr ~precision:Fingerprint.default_precision)
+              ~printf:printf_key (key_floats p)
+        in
         let ok =
           equivalent && fast.Optimizer.fallbacks = 0
           && fast.Optimizer.inner_iterations <= slow.Optimizer.inner_iterations
+          && printing = 0
         in
         if not ok then incr violations;
-        Printf.printf "%s %-10s  inner %3d vs %3d  f_evals %4d vs %4d  fallbacks %d  wall rel %.2e\n"
+        Printf.printf
+          "%s %-10s  inner %3d vs %3d  f_evals %4d vs %4d  fallbacks %d  wall rel %.2e  \
+           printing failures %d\n"
           (if ok then " " else "!") case fast.Optimizer.inner_iterations
           slow.Optimizer.inner_iterations fast.Optimizer.f_evals
-          slow.Optimizer.f_evals fast.Optimizer.fallbacks wall_rel;
+          slow.Optimizer.f_evals fast.Optimizer.fallbacks wall_rel printing;
         let side (plan : Optimizer.plan) =
           J.Obj
             [ ("inner_iterations", J.Number (float_of_int plan.Optimizer.inner_iterations));
@@ -843,6 +939,7 @@ let table2_gate () =
             ("reference", side slow);
             ("wall_clock_rel_diff", J.Number wall_rel);
             ("plan_equivalent", J.Bool equivalent);
+            ("printing_failures", J.Number (float_of_int printing));
             ("ok", J.Bool ok) ])
       cases
   in

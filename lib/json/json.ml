@@ -237,65 +237,39 @@ let escape_string buf s =
     s;
   Buffer.add_char buf '"'
 
-(* The C formatter that [Printf]'s [%.17g] / [%.12g] / [%.0f] end in,
-   called without the format interpreter: same bytes, a fraction of the
-   cost. *)
-external format_float : string -> float -> string = "caml_format_float"
+(* The number rule through libc, for the floats whose digits
+   [Float_digits] cannot prove. *)
+let libc_number f =
+  let s = Float_digits.libc "%.17g" f in
+  let shorter = Float_digits.libc "%.12g" f in
+  if float_of_string shorter = f then shorter else s
 
-(* Whether a [%.17g] rendering [s] rules out a [%.12g] round trip: it
-   shows all 17 significant digits and its 13th–17th digits, read as an
-   integer, lie in (1000, 99000).
+(* Whether the 17 digits N of a normal float f rule out a [%.12g] round
+   trip: N's last five digits, read as an integer, lie in (1000, 99000).
 
-   Why that is exact, for a normal float f with decade k
-   (10^k <= |f| < 10^(k+1)) and u = 10^(k-16), the unit of S's 17th
-   digit: if D = [%.12g] f round-trips, f is the double nearest D, so
-   |f - D| <= half an ulp <= 2^-53 |f| < 11.2 u.  D has at most 12
-   significant digits in decade k or k+1, so it is a multiple of
-   10^5 u, and |S - f| <= 0.5 u.  S's distance to the nearest multiple
-   of 10^5 u is min(tail, 10^5 - tail) for its digit tail, so a tail
-   more than 12 away from 00000 and 99999 leaves no room for D; the
-   (1000, 99000) window keeps a wide margin.  The ulp bound fails for
-   subnormals (their ulp is fixed at 2^-1074, huge relative to f), so
-   the caller sends those down the exact path. *)
-let seventeen_digits_needed s =
-  let sig_digits = ref 0 and tail = ref 0 and i = ref 0 in
-  let n = String.length s in
-  while !i < n do
-    (match String.unsafe_get s !i with
-     | '0' .. '9' as c ->
-         if !sig_digits > 0 || c <> '0' then begin
-           incr sig_digits;
-           if !sig_digits > 12 then tail := (!tail * 10) + (Char.code c - 48)
-         end
-     | 'e' -> i := n
-     | _ -> ());
-    incr i
-  done;
-  !sig_digits = 17 && !tail > 1000 && !tail < 99000
-
-(* Solver output almost never round-trips at 12 digits, so the [%.12g]
-   attempt and its [float_of_string] run only when the [%.17g] digits
-   cannot rule the round trip out. *)
-let number_to_string f =
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then format_float "%.0f" f
-  else begin
-    let s = format_float "%.17g" f in
-    if Float.abs f >= Float.min_float && seventeen_digits_needed s then s
-    else
-      let shorter = format_float "%.12g" f in
-      if float_of_string shorter = f then shorter else s
-  end
+   Why that is exact, for u the unit of N's last digit: |N u - f| <=
+   0.5 u, and if D = [%.12g] f round-trips, f is the double nearest D,
+   so |f - D| <= half an ulp <= 2^-53 |f| < 11.2 u.  D has at most 12
+   significant digits: at or above 10^16 u it is a multiple of 10^5 u;
+   below, a multiple of 10^4 u, it is at most 10^16 u - 10^4 u, too far
+   below f >= (10^16 - 0.5) u.  N's distance to the nearest multiple of
+   10^5 is then under 12; the (1000, 99000) window keeps a wide margin.
+   The ulp bound fails for subnormals, for which [Float_digits.scale]
+   gives no digits. *)
+let seventeen_digits_needed n =
+  let tail = n mod 100_000 in
+  tail > 1000 && tail < 99_000
 
 let rec add_digits buf i =
   if i >= 10 then add_digits buf (i / 10);
   Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (i mod 10)))
 
-(* [number_to_string] into a caller's buffer, with the integral case —
-   iteration counts, grid scales, array lengths, most of a response's
-   numbers — rendered digit by digit instead of through printf.  The
-   output is byte-identical: [%.0f] on an integral |f| < 1e15 is the
-   plain decimal spelling ("-0" included). *)
+(* [%.0f] for an integral |f| < 1e15 — ids, counts, iteration fields,
+   grid scales — digit by digit ("-0" included).  Otherwise [%.12g] when
+   that reads back as exactly f, else [%.17g], from the digits
+   [Float_digits] proves.  Solver output almost never round-trips at 12
+   digits, so the [%.12g] attempt runs only when the 17 digits cannot
+   rule it out. *)
 let add_number buf f =
   if Float.is_integer f && Float.abs f < 1e15 then begin
     if f = 0. then
@@ -305,7 +279,29 @@ let add_number buf f =
       add_digits buf (int_of_float (Float.abs f))
     end
   end
-  else Buffer.add_string buf (number_to_string f)
+  else if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else begin
+    let s = Float_digits.scale 17 f in
+    if s = Float_digits.no_scale then Buffer.add_string buf (libc_number f)
+    else begin
+      let n = Float_digits.digits f s in
+      if seventeen_digits_needed n then Float_digits.add_g buf 17 f n s
+      else begin
+        let s12 = Float_digits.scale 12 f in
+        if s12 = Float_digits.no_scale then Buffer.add_string buf (libc_number f)
+        else begin
+          let n12 = Float_digits.digits f s12 in
+          if Float_digits.reads_back f n12 s12 then Float_digits.add_g buf 12 f n12 s12
+          else Float_digits.add_g buf 17 f n s
+        end
+      end
+    end
+  end
+
+let number_to_string f =
+  let buf = Buffer.create 24 in
+  add_number buf f;
+  Buffer.contents buf
 
 let add_escaped = escape_string
 
@@ -344,7 +340,7 @@ let to_string ?(pretty = false) t =
   let rec emit level = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Number f -> Buffer.add_string buf (number_to_string f)
+    | Number f -> add_number buf f
     | String s -> escape_string buf s
     | List [] -> Buffer.add_string buf "[]"
     | List items ->

@@ -35,20 +35,28 @@ val to_string : ?pretty:bool -> t -> string
     are emitted as [null] (JSON cannot represent them). *)
 
 val number_to_string : float -> string
-(** How every number is printed, byte for byte what
-    [Printf.sprintf] gives: ["null"] for a non-finite [f]; [%.0f] for an
-    integral [|f| < 1e15]; otherwise [%.12g] when that reads back as
-    exactly [f], else [%.17g].
+(** How every number is printed, byte for byte what [Printf.sprintf]
+    gives: ["null"] for a non-finite [f]; [%.0f] for an integral
+    [|f| < 1e15]; otherwise [%.12g] when that reads back as exactly [f],
+    else [%.17g].  {!add_number} into a fresh buffer.
 
-    It calls the C formatter behind [Printf] directly and skips the
-    [%.12g] attempt when the [%.17g] digits rule a round trip out: all
-    17 significant digits shown, with the 13th–17th, read as an
-    integer, in (1000, 99000).  For a normal float a round-tripping
+    Integral values are printed digit by digit.  The others take their
+    digits from {!Float_digits}, which proves them from an error-free
+    double-double product [f 10^s] for a normal [f] with about
+    [1e-28 <= |f| < 1e39] ([-22 <= s <= 44]), and gives none where that
+    product lies within [1e-7] of a half-integer (exact decimal ties
+    among them), for subnormals and outside that range;
+    there the C formatter behind [Printf] prints the number, so the
+    bytes are libc's by construction.
+
+    The [%.12g] attempt runs only when the 17 digits N cannot rule a
+    round trip out: N's last five digits, read as an integer, in
+    (1000, 99000) rule it out.  For a normal float a round-tripping
     12-digit [D] lies within half an ulp, at most [2^-53 |f|], of [f]:
     under 12 units of the 17th digit, while such a tail is at least
-    1000 units from every 12-digit decimal.  Subnormals, whose ulp is
-    not bounded relative to [f], and every other case run the exact
-    test. *)
+    1000 units from every 12-digit decimal.  Whether the 12 digits read
+    back is decided exactly, by one correctly rounded multiplication or
+    division where both operands are exact doubles. *)
 
 (** {1 Buffer writers} — the compact serializer piecewise, for encoders
     that stream a response into a reusable buffer without building the
@@ -59,8 +67,8 @@ val add_json : Buffer.t -> t -> unit
 (** Compact {!to_string} into [buf]. *)
 
 val add_number : Buffer.t -> float -> unit
-(** One number, with integral values rendered digit-by-digit (no printf
-    on the hot path) and non-finite values as [null]. *)
+(** One number, as {!number_to_string} prints it, written straight into
+    [buf]: nothing is allocated unless libc prints it. *)
 
 val add_escaped : Buffer.t -> string -> unit
 (** One RFC 8259-escaped string literal, quotes included. *)

@@ -1,28 +1,31 @@
 open Ckpt_model
 module Failure_spec = Ckpt_failures.Failure_spec
+module Float_digits = Ckpt_json.Float_digits
 
 let default_precision = 9
 
-(* The C formatter [Printf]'s [%.*e] ends in, called directly with a
-   format string built once per precision: same bytes, no format
-   interpreter on the key path. *)
-external format_float : string -> float -> string = "caml_format_float"
-
-let e_format precision = Printf.sprintf "%%.%de" (precision - 1)
-let e_formats = Array.init 18 (fun p -> if p = 0 then "" else e_format p)
+(* [float_repr] into a buffer: the digits [Float_digits] proves, printed
+   as [%.(precision-1)e] prints them, and libc's [%.*e] for the rest. *)
+let add_repr buf ~precision x =
+  if x = 0. then Buffer.add_char buf '0' (* covers -0. *)
+  else if Float.is_nan x then Buffer.add_string buf "nan"
+  else if x = infinity then Buffer.add_string buf "inf"
+  else if x = neg_infinity then Buffer.add_string buf "-inf"
+  else begin
+    let s = Float_digits.scale precision x in
+    if s <> Float_digits.no_scale then
+      Float_digits.add_e buf precision x (Float_digits.digits x s) s
+    else
+      Buffer.add_string buf
+        (Float_digits.libc (Printf.sprintf "%%.%de" (precision - 1)) x)
+  end
 
 let float_repr ~precision =
   if precision < 1 then invalid_arg "Fingerprint.float_repr: precision < 1";
-  let fmt =
-    if precision < Array.length e_formats then e_formats.(precision)
-    else e_format precision
-  in
   fun x ->
-    if x = 0. then "0" (* covers -0. *)
-    else if Float.is_nan x then "nan"
-    else if x = infinity then "inf"
-    else if x = neg_infinity then "-inf"
-    else format_float fmt x
+    let buf = Buffer.create 24 in
+    add_repr buf ~precision x;
+    Buffer.contents buf
 
 (* The canonical form, appended piece by piece into one buffer in the
    order the hashed text has always had:
@@ -31,10 +34,10 @@ let float_repr ~precision =
    excluded (labels only); hierarchy order is preserved — position is
    semantic. *)
 let canonical ?(precision = default_precision) (p : Optimizer.problem) =
-  let f = float_repr ~precision in
+  if precision < 1 then invalid_arg "Fingerprint.float_repr: precision < 1";
   let buf = Buffer.create 512 in
   let add = Buffer.add_string buf in
-  let num x = add (f x) in
+  let num x = add_repr buf ~precision x in
   let overhead (o : Overhead.t) =
     add "eps=";
     num o.Overhead.eps;

@@ -22,14 +22,22 @@ val default_precision : int
     convergence threshold, well below double-precision noise. *)
 
 val float_repr : precision:int -> float -> string
-(** Canonical rendering: [%.(precision-1)e] scientific notation, with
-    [0.], [-0.], NaN and infinities normalized to fixed spellings.
-    Requires [precision >= 1]. *)
+(** Canonical rendering: [%.(precision-1)e] scientific notation, byte
+    for byte what [Printf] prints, with [0.], [-0.], NaN and infinities
+    normalized to fixed spellings.  Requires [precision >= 1].
+
+    For [precision <= 17] the digits come from
+    {!Ckpt_json.Float_digits}: an error-free double-double product
+    [x 10^s] ([-22 <= s <= 44]) proves them for a normal [x], at the
+    default precision with about [1e-36 <= |x| < 1e31], unless it lies
+    within [1e-7] of a half-integer.  The C formatter behind [Printf] prints the rest —
+    exact ties, subnormals, the far ranges, higher precisions — so the
+    bytes are libc's by construction. *)
 
 val canonical : ?precision:int -> Ckpt_model.Optimizer.problem -> string
 (** The canonical text form that gets hashed; exposed for tests and
-    debugging.  It is rendered into one buffer through the C formatter
-    behind [Printf], byte for byte the text the earlier [Printf] /
+    debugging.  Its floats are written into one buffer as {!float_repr}
+    renders them, byte for byte the text the earlier [Printf] /
     [String.concat] rendering produced (tested against it), so keys —
     and the cache entries and snapshots keyed by them — are
     unchanged.  Custom speedups ([Speedup.Custom]) cannot be

@@ -215,6 +215,230 @@ let test_number_oracle () =
       Alcotest.failf "%d of %d draws differ from the Printf oracle, first %h (%s vs %s)"
         !mismatches (List.length draws) f (str (Json.Number f)) (oracle_number_to_string f)
 
+(* ---------------- the digit generator at the edges of its proof ---------------- *)
+
+module Float_digits = Ckpt_json.Float_digits
+
+(* The conversions [Float_digits] renders: [%.{p-1}e] for p = 1..17 (the
+   cache key's [%.8e] among them), [%.17g] and [%.12g]. *)
+type conversion = E of int | G of int
+
+let precision = function E p | G p -> p
+
+let printf_render conv f =
+  match conv with
+  | E p -> Printf.sprintf "%.*e" (p - 1) f
+  | G p -> Printf.sprintf "%.*g" p f
+
+(* The rendering from proved digits, or [None] where [scale] leaves the
+   float to libc. *)
+let digits_render buf conv f =
+  let p = precision conv in
+  let s = Float_digits.scale p f in
+  if s = Float_digits.no_scale then None
+  else begin
+    Buffer.clear buf;
+    let n = Float_digits.digits f s in
+    (match conv with
+     | E _ -> Float_digits.add_e buf p f n s
+     | G _ -> Float_digits.add_g buf p f n s);
+    Some (Buffer.contents buf)
+  end
+
+let rec int_pow b k = if k = 0 then 1 else b * int_pow b (k - 1)
+let pow10_int = int_pow 10
+
+let with_neighbours f =
+  [ f; Float.succ f; Float.pred f; Float.succ (Float.succ f); Float.pred (Float.pred f) ]
+
+(* Floats aimed at the edges of the proof for p significant digits, each
+   with its +-1 and +-2 ulp neighbours where that matters:
+   - exact decimal ties d...d5 10^k at p digits: (10 m + 5) 10^z for a
+     p-digit m (exact below 2^53), and a 2^-j for odd a, whose decimal
+     expansion a 5^j 10^-j ends in its (p+1)th digit, a 5;
+   - 10^k, where the decade estimate is off by one, and 9...95 10^k,
+     where the p-digit rounding carries to 10^p, for every decade the
+     scaling branches reach and a few beyond;
+   - random floats in the decades of the branch bounds
+     s = -23, -22, -1, 0, 22, 23, 44, 45;
+   - log-uniform floats over 1e-50..1e50, random bit patterns,
+     subnormals, [min_float] and [max_float]. *)
+let edge_floats rng p =
+  let uniform () = Random.State.float rng 1. in
+  let p_digit () = pow10_int (p - 1) + Random.State.full_int rng (9 * pow10_int (p - 1)) in
+  let integer_ties =
+    List.init 2_000 (fun _ ->
+        let z = if p + 1 <= 15 then Random.State.int rng (16 - p) else 0 in
+        Float.of_int (((10 * p_digit ()) + 5) * pow10_int z))
+  in
+  let fraction_ties =
+    List.init 2_000 (fun _ ->
+        let rec draw () =
+          let j = 1 + Random.State.int rng 26 in
+          let five_j = int_pow 5 j in
+          let lo = (pow10_int p + five_j - 1) / five_j
+          and hi = min ((pow10_int (p + 1) - 1) / five_j) ((1 lsl 53) - 1) in
+          if lo > hi then draw ()
+          else
+            let a = lo + Random.State.full_int rng (hi - lo + 1) in
+            let a = if a land 1 = 1 then a else if a < hi then a + 1 else a - 1 in
+            if a < lo then draw () else Float.ldexp (Float.of_int a) (-j)
+        in
+        draw ())
+  in
+  let decades = List.init 111 (fun i -> i - 55) in
+  let powers = List.map (fun k -> float_of_string (Printf.sprintf "1e%d" k)) decades in
+  let carries =
+    List.map
+      (fun k -> float_of_string (Printf.sprintf "%s5e%d" (String.make p '9') (k - p)))
+      decades
+  in
+  let branch_bounds =
+    List.concat_map
+      (fun s ->
+        let k = p - 1 - s in
+        List.init 400 (fun _ ->
+            float_of_string (Printf.sprintf "%.17ge%d" (1. +. (9. *. uniform ())) k)))
+      [ -23; -22; -1; 0; 22; 23; 44; 45 ]
+  in
+  let log_uniform = List.init 25_000 (fun _ -> 10. ** ((100. *. uniform ()) -. 50.)) in
+  let bits = List.init 5_000 (fun _ -> Int64.float_of_bits (Random.State.bits64 rng)) in
+  let subnormals =
+    List.init 1_000 (fun _ ->
+        Int64.float_of_bits (Int64.logand (Random.State.bits64 rng) 0x000f_ffff_ffff_ffffL))
+  in
+  let specials =
+    [ Float.min_float; Float.pred Float.min_float; Float.max_float; Float.pred Float.max_float ]
+  in
+  List.concat_map with_neighbours (integer_ties @ fraction_ties @ powers @ carries)
+  @ branch_bounds @ log_uniform @ bits @ subnormals @ specials
+
+let test_digits_oracle () =
+  let rng = Random.State.make [| 24 |] in
+  let buf = Buffer.create 32 in
+  let draws = ref 0 and proved = ref 0 in
+  List.iter
+    (fun conv ->
+      List.iter
+        (fun f ->
+          let f = if Random.State.bool rng then -.f else f in
+          incr draws;
+          match digits_render buf conv f with
+          | None -> ()
+          | Some got ->
+              incr proved;
+              let want = printf_render conv f in
+              if got <> want then
+                Alcotest.failf "%s of %h: %s, Printf gives %s"
+                  (match conv with
+                   | E p -> Printf.sprintf "%%.%de" (p - 1)
+                   | G p -> Printf.sprintf "%%.%dg" p)
+                  f got want)
+        (edge_floats rng (precision conv)))
+    (List.init 17 (fun i -> E (i + 1)) @ [ G 17; G 12 ]);
+  Alcotest.(check bool) "at least 10^6 draws" true (!draws >= 1_000_000);
+  (* Most draws are in range, off the ties: a generator that proved
+     nothing would pass the comparison vacuously. *)
+  Printf.printf "%d of %d draws proved\n" !proved !draws;
+  Alcotest.(check bool) "at least half the draws proved" true (!proved * 2 >= !draws);
+  let refused p f =
+    Alcotest.(check int)
+      (Printf.sprintf "no digits for %h at p %d" f p)
+      Float_digits.no_scale (Float_digits.scale p f)
+  in
+  List.iter
+    (fun f ->
+      for p = 1 to 17 do
+        refused p f
+      done)
+    [ Float.max_float; Float.pred Float.min_float; Int64.float_of_bits 1L; 0.; 1e300;
+      1e-300; Float.nan; Float.infinity ];
+  (* Exact ties: 2.5 at one digit, 0.125 at two, 1234567890123456.5 at
+     sixteen. *)
+  refused 1 2.5;
+  refused 2 0.125;
+  refused 16 1234567890123456.5
+
+(* ---------------- served floats take the proved path ---------------- *)
+
+module Optimizer = Ckpt_model.Optimizer
+module Codec = Ckpt_model.Codec
+module Multilevel = Ckpt_model.Multilevel
+module Paper_data = Ckpt_experiments.Paper_data
+module Fingerprint = Ckpt_service.Fingerprint
+
+(* The six Table II plans (te 3e6 core-days) and the 96-problem grid:
+   the six rate cases at te {1e5, 5e5, 3e6, 1e7} core-days and alloc
+   {10, 60, 300, 600} s. *)
+let table2_plans () =
+  let cases = Paper_data.cases in
+  let table2 = List.map (fun case -> Paper_data.eval_problem ~te_core_days:3e6 ~case ()) cases in
+  let grid =
+    List.concat_map
+      (fun case ->
+        List.concat_map
+          (fun te_core_days ->
+            List.map
+              (fun alloc -> { (Paper_data.eval_problem ~te_core_days ~case ()) with Optimizer.alloc })
+              [ 10.; 60.; 300.; 600. ])
+          [ 1e5; 5e5; 3e6; 1e7 ])
+      cases
+  in
+  Array.to_list
+    (Optimizer.solve_batch (Array.of_list (List.map Optimizer.batch_job (table2 @ grid))))
+
+(* The 16 non-integral floats a served plan prints. *)
+let plan_floats (p : Optimizer.plan) =
+  let b = p.Optimizer.breakdown in
+  Array.to_list p.Optimizer.xs
+  @ [ p.Optimizer.n; p.Optimizer.wall_clock ]
+  @ Array.to_list p.Optimizer.mus
+  @ [ b.Multilevel.productive; b.Multilevel.checkpoint; b.Multilevel.restart;
+      b.Multilevel.allocation; b.Multilevel.rollback; p.Optimizer.efficiency ]
+
+(* A free-scale problem as the server sees them: a Table II rate pattern
+   scaled 0.5-2x at a quadratic speedup's peak, FTI levels. *)
+let draw_free_problem rng =
+  let uniform lo hi = lo +. Random.State.float rng (hi -. lo) in
+  let log_uniform lo hi = exp (uniform (log lo) (log hi)) in
+  let cases = Array.of_list Paper_data.cases in
+  let n_star = log_uniform 2e5 2e6 in
+  let factor = uniform 0.5 2. in
+  let case = cases.(Random.State.int rng (Array.length cases)) in
+  let rates = (Ckpt_failures.Failure_spec.of_string case).Ckpt_failures.Failure_spec.rates_per_day in
+  { Optimizer.te = log_uniform 5e5 5e6 *. 86_400.;
+    speedup = Ckpt_model.Speedup.quadratic ~kappa:(uniform 0.35 0.6) ~n_star;
+    levels = Ckpt_model.Level.fti_fusion;
+    alloc = uniform 20. 120.;
+    spec =
+      Ckpt_failures.Failure_spec.v ~baseline_scale:n_star (Array.map (( *. ) factor) rates) }
+
+let test_served_floats_proved () =
+  (* The counter is live: a subnormal goes to libc, twice. *)
+  let before = Float_digits.fallbacks () in
+  ignore (Json.number_to_string 5e-324);
+  Alcotest.(check int) "a subnormal takes the libc branch" 2 (Float_digits.fallbacks () - before);
+  let plans = table2_plans () in
+  Alcotest.(check int) "Table II plans and the grid" 102 (List.length plans);
+  let buf = Buffer.create 1024 in
+  let before = Float_digits.fallbacks () in
+  List.iter (fun plan -> Codec.write_plan buf plan) plans;
+  Alcotest.(check int) "plan floats through libc" 0 (Float_digits.fallbacks () - before);
+  List.iter
+    (fun plan ->
+      List.iter
+        (fun f ->
+          Alcotest.(check string) "plan float as Printf prints it" (oracle_number_to_string f)
+            (Json.number_to_string f))
+        (plan_floats plan))
+    plans;
+  let rng = Random.State.make [| 1000 |] in
+  let problems = List.init 1_000 (fun _ -> draw_free_problem rng) in
+  let before = Float_digits.fallbacks () in
+  List.iter (fun p -> ignore (Fingerprint.canonical p)) problems;
+  ignore (Fingerprint.float_repr ~precision:Fingerprint.default_precision 1e-9);
+  Alcotest.(check int) "key floats through libc" 0 (Float_digits.fallbacks () - before)
+
 (* ---------------- accessors ---------------- *)
 
 let test_accessors () =
@@ -301,6 +525,8 @@ let () =
       ( "writers",
         [ Alcotest.test_case "add_number" `Quick test_add_number;
           Alcotest.test_case "Printf oracle" `Quick test_number_oracle;
+          Alcotest.test_case "digits at the proof's edges" `Quick test_digits_oracle;
+          Alcotest.test_case "served floats proved" `Quick test_served_floats_proved;
           Alcotest.test_case "add_json compact" `Quick test_add_json_compact ] );
       ( "accessors",
         [ Alcotest.test_case "fields" `Quick test_accessors;

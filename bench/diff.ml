@@ -6,7 +6,9 @@
    (sequential.mean_ns, or wall.mean_ns for the planner kernels) and its
    minor-heap allocation per rep are compared; a kernel worse than
    baseline by more than the threshold (default 25%) on either is a
-   regression and the exit status is 1.  Kernels only
+   regression and the exit status is 1.  Allocation also gets an
+   absolute slack of 64 words per rep, so that kernels that allocate
+   next to nothing are gated too.  Kernels only
    on one side are reported but never fail the run — the set changes as
    benchmarks are added.  Machine-to-machine noise is why the threshold
    is generous: this is a tripwire for order-of-magnitude mistakes
@@ -39,6 +41,7 @@ type metric = {
   unit_ : string;
   scale : float;  (* value / scale is printed *)
   lenience : float;  (* the threshold is multiplied by this *)
+  slack : float;  (* absolute room on top of the relative threshold *)
 }
 
 let kernels doc =
@@ -59,22 +62,17 @@ let kernels doc =
               (* Allocation per rep is the one machine-independent
                  metric here: wall time drifts with the box, but a
                  kernel that suddenly allocates more re-boxed something.
-                 Same lenience as mean time; kernels allocating under a
-                 few kwords are skipped — at that size a single extra
-                 closure trips the percentage gate without meaning
-                 anything. *)
+                 Same lenience as mean time, plus 64 words of absolute
+                 slack: a kernel that allocates next to nothing (2 words
+                 per rep) would trip a percentage alone on one extra
+                 closure, while a real regression there (a string per
+                 float, hundreds of words) still fails. *)
               let words timing =
                 Option.bind (J.member timing entry)
                   (J.float_field "minor_words_per_rep")
               in
               let primary_words =
-                match
-                  (match words "sequential" with
-                  | Some w -> Some w
-                  | None -> words "wall")
-                with
-                | Some w when w >= 4096. -> Some w
-                | _ -> None
+                match words "sequential" with Some w -> Some w | None -> words "wall"
               in
               (* Worker-scaling trajectory entries also gate their
                  speedup_vs_1_worker: a scaling collapse (a new lock on
@@ -99,28 +97,29 @@ let kernels doc =
                 [ Option.map
                     (fun value ->
                       { kernel; what = "mean_ns"; value; better = `Lower;
-                        unit_ = "ms"; scale = 1e6; lenience = 1. })
+                        unit_ = "ms"; scale = 1e6; lenience = 1.; slack = 0. })
                     primary;
                   Option.map
                     (fun value ->
                       { kernel; what = "minor_words_per_rep"; value;
-                        better = `Lower; unit_ = "kw"; scale = 1e3; lenience = 1. })
+                        better = `Lower; unit_ = "kw"; scale = 1e3; lenience = 1.;
+                        slack = 64. })
                     primary_words;
                   Option.map
                     (fun value ->
                       { kernel; what = "speedup"; value; better = `Higher;
-                        unit_ = "x"; scale = 1.; lenience = 2. })
+                        unit_ = "x"; scale = 1.; lenience = 2.; slack = 0. })
                     speedup;
                   Option.map
                     (fun value ->
                       { kernel; what = "inner_iterations"; value;
                         better = `Lower; unit_ = "it"; scale = 1.;
-                        lenience = 0.4 })
+                        lenience = 0.4; slack = 0. })
                     (iter_field "inner");
                   Option.map
                     (fun value ->
                       { kernel; what = "f_evals"; value; better = `Lower;
-                        unit_ = "ev"; scale = 1.; lenience = 0.4 })
+                        unit_ = "ev"; scale = 1.; lenience = 0.4; slack = 0. })
                     (iter_field "f_evals") ])
         entries
 
@@ -162,7 +161,14 @@ let () =
             | `Lower -> (ratio -. 1.) *. 100.
             | `Higher -> (1. -. ratio) *. 100.
           in
-          let regressed = pct > !threshold *. base.lenience in
+          (* Worse than the baseline moved by the threshold, and by the
+             slack in the same direction. *)
+          let allowed = !threshold *. base.lenience /. 100. in
+          let regressed =
+            match base.better with
+            | `Lower -> fresh_m.value > (base.value *. (1. +. allowed)) +. base.slack
+            | `Higher -> fresh_m.value < (base.value *. (1. -. allowed)) -. base.slack
+          in
           if regressed then incr regressions;
           Printf.printf "%s %-40s %10.3f %s -> %10.3f %s  (%+.1f%% worse)\n"
             (if regressed then "!" else " ")

@@ -709,6 +709,37 @@ let json_bench () =
           ("floats_per_rep", J.Number (float_of_int (List.length floats)));
           timing_obj "wall" (time_ns ~warmup:100 ~reps print_all) ] ]
   in
+  (* Request parsing: what [Wire.parse_request] does to every line the
+     server reads.  The lines are perfbench's hot-plan mix (seed 42: 64
+     resident problems; 70% plan, 20% batch-plan of 4, 10% 4-point scale
+     sweep), 1,000 of them interleaved as two connections send them, and
+     one line of each durable-telemetry op (observe, calibrate, estimate,
+     replan), which the fastpath hands to the tree parser.  Its minor
+     words per rep go into the committed baseline. *)
+  let entries =
+    entries
+    @
+    let module Gen = Perfbench_lib.Gen in
+    let module Wire = Ckpt_service.Wire in
+    let hot = Gen.interleaved Gen.Hot_plan ~seed:42 ~n:1_000 in
+    let telemetry =
+      let next = Gen.stream Gen.Durable_telemetry ~seed:42 ~conn:0 in
+      List.init 4 (fun _ -> next ())
+    in
+    let lines = List.map (fun (r : Gen.request) -> r.Gen.line) (hot @ telemetry) in
+    let parse_all () =
+      List.iter (fun l -> ignore (Sys.opaque_identity (Wire.parse_request l))) lines
+    in
+    let reps = 20 in
+    [ J.Obj
+        [ ("kernel", J.String "wire-parse");
+          ("workers", J.Number 0.);
+          ("reps", J.Number (float_of_int reps));
+          ("lines_per_rep", J.Number (float_of_int (List.length lines)));
+          ( "bytes_per_rep",
+            J.Number (float_of_int (List.fold_left (fun n l -> n + String.length l) 0 lines)) );
+          timing_obj "wall" (time_ns ~warmup:2 ~reps parse_all) ] ]
+  in
   (* WAL append throughput: the per-op durability cost the server pays
      under --wal-dir, swept across group-commit batches.  Each rep
      appends a realistic protocol-line payload 256 times and ends with
@@ -854,7 +885,7 @@ let key_floats (p : Optimizer.problem) =
     | Speedup.Quadratic { kappa; n_star } -> [ kappa; n_star ]
     | Speedup.Amdahl { serial_fraction; peak } | Speedup.Gustafson { serial_fraction; peak } ->
         [ serial_fraction; peak ]
-    | Speedup.Custom -> []
+    | Speedup.Custom _ -> []
   in
   [ p.Optimizer.alloc; p.Optimizer.spec.Failure_spec.baseline_scale ]
   @ List.concat_map
@@ -877,6 +908,56 @@ let printing_failures ~what ~render ~printf floats =
   if fallbacks > 0 then Printf.printf "! %s: %d libc fallback(s)\n" what fallbacks;
   List.length differ + fallbacks
 
+(* The number spans of a JSON text, as the tree lexer cuts them. *)
+let number_spans text =
+  let n = String.length text in
+  let rec scan i acc =
+    if i >= n then List.rev acc
+    else
+      match text.[i] with
+      | '"' ->
+          let rec close j =
+            if text.[j] = '\\' then close (j + 2)
+            else if text.[j] = '"' then j
+            else close (j + 1)
+          in
+          scan (close (i + 1) + 1) acc
+      | '-' | '0' .. '9' ->
+          let rec stop j =
+            match if j < n then text.[j] else ' ' with
+            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> stop (j + 1)
+            | _ -> j
+          in
+          let j = stop i in
+          scan j ((i, j) :: acc)
+      | _ -> scan (i + 1) acc
+  in
+  scan 0 []
+
+(* The numbers of [texts] that [Float_digits.read] reads other than
+   [float_of_string] does, plus the spans it handed to strtod; each is
+   reported. *)
+let parsing_failures ~what texts =
+  let before = Ckpt_json.Float_digits.fallbacks () in
+  let differ =
+    List.concat_map
+      (fun text ->
+        List.filter_map
+          (fun (a, b) ->
+            let got = Ckpt_json.Float_digits.read text a b
+            and want = float_of_string (String.sub text a (b - a)) in
+            if Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want) then None
+            else Some (String.sub text a (b - a), got, want))
+          (number_spans text))
+      texts
+  in
+  let fallbacks = Ckpt_json.Float_digits.fallbacks () - before in
+  List.iter
+    (fun (span, got, want) -> Printf.printf "! %s %s reads %h, float_of_string %h\n" what span got want)
+    differ;
+  if fallbacks > 0 then Printf.printf "! %s: %d strtod fallback(s)\n" what fallbacks;
+  List.length differ + fallbacks
+
 (* CI's bench-smoke job runs this after the timing kernels: every case
    of the paper's Table II corpus is solved on both the accelerated and
    the reference path, the per-case iteration histogram is written to
@@ -886,7 +967,8 @@ let printing_failures ~what ~render ~printf floats =
    iterations than the reference, or reported [fallbacks] other than 0
    (a plan field the solver always sets to 0) — or if a float of a plan
    or of its cache key took libc's branch or printed other than
-   [Printf] prints it. *)
+   [Printf] prints it, or a number of the problem's or the plan's JSON
+   went to strtod or read other than [float_of_string] reads it. *)
 let table2_gate () =
   let cases =
     [ "16-12-8-4"; "8-6-4-2"; "4-3-2-1"; "16-8-4-2"; "8-4-2-1"; "4-2-1-0.5" ]
@@ -914,18 +996,24 @@ let table2_gate () =
               ~render:(Fingerprint.float_repr ~precision:Fingerprint.default_precision)
               ~printf:printf_key (key_floats p)
         in
+        let parsing =
+          let buf = Buffer.create 1024 in
+          Codec.write_plan buf fast;
+          parsing_failures ~what:(case ^ " JSON")
+            [ J.to_string (Codec.problem_to_json p); Buffer.contents buf ]
+        in
         let ok =
           equivalent && fast.Optimizer.fallbacks = 0
           && fast.Optimizer.inner_iterations <= slow.Optimizer.inner_iterations
-          && printing = 0
+          && printing = 0 && parsing = 0
         in
         if not ok then incr violations;
         Printf.printf
           "%s %-10s  inner %3d vs %3d  f_evals %4d vs %4d  fallbacks %d  wall rel %.2e  \
-           printing failures %d\n"
+           printing failures %d  parsing failures %d\n"
           (if ok then " " else "!") case fast.Optimizer.inner_iterations
           slow.Optimizer.inner_iterations fast.Optimizer.f_evals
-          slow.Optimizer.f_evals fast.Optimizer.fallbacks wall_rel printing;
+          slow.Optimizer.f_evals fast.Optimizer.fallbacks wall_rel printing parsing;
         let side (plan : Optimizer.plan) =
           J.Obj
             [ ("inner_iterations", J.Number (float_of_int plan.Optimizer.inner_iterations));
@@ -940,6 +1028,7 @@ let table2_gate () =
             ("wall_clock_rel_diff", J.Number wall_rel);
             ("plan_equivalent", J.Bool equivalent);
             ("printing_failures", J.Number (float_of_int printing));
+            ("parsing_failures", J.Number (float_of_int parsing));
             ("ok", J.Bool ok) ])
       cases
   in

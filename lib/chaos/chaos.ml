@@ -94,6 +94,7 @@ type t = {
 }
 
 exception Killed_worker
+exception Injected_crash of string
 
 let log_capacity = 65_536
 let max_crashes = 25

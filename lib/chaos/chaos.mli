@@ -109,6 +109,12 @@ exception Killed_worker
     worker loop treats it as a crash: the worker exits and the supervisor
     spawns a replacement.  Never leaks to [Pool.map] callers. *)
 
+exception Injected_crash of string
+(** An injected process crash at a durability step (the argument names
+    it), re-exported as [Ckpt_net.Wal.Injected_crash].  Test harnesses
+    treat it as [kill -9], so handlers that answer other exceptions as
+    errors let this one unwind. *)
+
 val create : spec -> t
 (** @raise Invalid_argument if a probability is outside [0, 1], the two
     kinds at one site sum above [1], or a bound is negative/non-finite. *)

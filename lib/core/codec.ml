@@ -31,7 +31,7 @@ let speedup_to_json (s : Speedup.t) =
         [ ("kind", Json.String "gustafson");
           ("serial_fraction", Json.Number serial_fraction);
           ("peak", Json.Number peak) ]
-  | Speedup.Custom -> invalid_arg "Codec.speedup_to_json: custom speedups do not serialize"
+  | Speedup.Custom _ -> invalid_arg "Codec.speedup_to_json: custom speedups do not serialize"
 
 let speedup_of_json json =
   let* kind = need_string "kind" json in

@@ -239,7 +239,7 @@ let fill_speedup sp n s =
       let denom = sf +. ((1. -. sf) /. n) in
       s.(Batch.slot_g) <- 1. /. denom;
       s.(Batch.slot_gd) <- (1. -. sf) /. (n *. n *. denom *. denom)
-  | Speedup.Linear _ | Speedup.Gustafson _ | Speedup.Custom ->
+  | Speedup.Linear _ | Speedup.Gustafson _ | Speedup.Custom _ ->
       s.(Batch.slot_g) <- Scale_fn.eval sp.Speedup.law n;
       s.(Batch.slot_gd) <- Scale_fn.eval' sp.Speedup.law n
 

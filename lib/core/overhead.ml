@@ -4,6 +4,10 @@ type t = { eps : float; alpha : float; h : Scale_fn.t; h_name : string }
 
 let identity_h = Scale_fn.linear ~slope:1. ()
 
+(* H = 0, shared by every constant law as [identity_h] is by the linear
+   ones: a parsed problem builds eight laws. *)
+let zero_h = Scale_fn.const 0.
+
 let check_eps name eps =
   if not (Float.is_finite eps && eps >= 0.) then
     invalid_arg (Printf.sprintf "Overhead.%s: cost %g must be finite and >= 0" name eps)
@@ -14,7 +18,7 @@ let check_alpha name alpha =
 
 let constant c =
   check_eps "constant" c;
-  { eps = c; alpha = 0.; h = Scale_fn.const 0.; h_name = "0" }
+  { eps = c; alpha = 0.; h = zero_h; h_name = "0" }
 
 let linear ~eps ~alpha =
   check_eps "linear" eps;

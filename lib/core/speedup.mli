@@ -12,10 +12,9 @@ type form =
   | Quadratic of { kappa : float; n_star : float }
   | Amdahl of { serial_fraction : float; peak : float }
   | Gustafson of { serial_fraction : float; peak : float }
-  | Custom
+  | Custom of { name : string }
 
 type t = {
-  name : string;
   form : form;
   law : Scale_fn.t;  (** [g] and [g'] *)
   n_ideal : float option;
@@ -64,5 +63,9 @@ val of_form : form -> t
 val custom : name:string -> law:Scale_fn.t -> n_ideal:float option -> t
 (** A speedup from raw value/derivative functions ([form = Custom];
     not serializable). *)
+
+val name : t -> string
+(** A label such as ["quadratic(kappa=0.5, n_star=1e+06)"], formatted
+    from the form on each call; a custom speedup's own name. *)
 
 val pp : Format.formatter -> t -> unit

@@ -162,3 +162,170 @@ let add_g buf p x n s =
     done;
     add_digits buf !n !len (-1)
   end
+
+(* ------------------------------ reading ------------------------------ *)
+
+(* The double nearest a decimal m 10^e, in OCaml where that can be
+   proved, and strtod (through [float_of_string]) elsewhere, so every
+   result is the one [float_of_string] gives.
+
+   The span is read as strtod reads it: a sign, digits with at most one
+   '.', and an exponent with at least one digit.  Its significant digits
+   fold into an integer m below 2^62 (zeros are held back until a
+   non-zero digit follows, so trailing zeros never overflow), and
+   e = (exponent) - (digits after the point) + (zeros held back).
+   - m <= 2^53 and |e| <= 22: both m and 10^|e| are exact doubles, so
+     one correctly rounded multiplication or division is the answer
+     (Clinger's fast path); for e > 22 the same holds while
+     m 10^(e-22) stays at most 2^53.
+   - m > 2^53 (16 to 19 digits) and |e| <= 22: m = mh + ml with
+     mh = m rounded down to a multiple of 1024 and ml < 1024, both
+     exact.  For e >= 0, h = mh 10^e rounded and fma(mh, 10^e, -h) its
+     exact remainder; for e < 0, q = mh / 10^-e rounded and
+     fma(-q, 10^-e, mh) its exact remainder.  What is left of m 10^e
+     beyond h (or q) is a tail of a few ulps, formed with at most two
+     roundings: an error under 2^-52 of the terms it adds.  y = h + tail
+     rounded and the exact residual of that sum (Fast2Sum) tell how far
+     m 10^e lies from y; y is the answer when that distance, widened by
+     the tail's error bound, stays inside half the gap to y's
+     neighbour.  Only decimals within about 2^-30 of a half-ulp fail
+     that test, exact ties among them.
+   Everything else — more significant digits than fit, exponents
+   outside the table, characters strtod might still take (a space, an
+   underscore, hex or nan/inf letters) — goes to strtod, counted with
+   the printer's calls of libc. *)
+
+let refused = Failure "float_of_string"
+
+let strtod s start stop =
+  Atomic.incr libc_calls;
+  float_of_string (String.sub s start (stop - start))
+
+let int_pow10 = Array.init 19 (fun k -> Float.to_int (Array.unsafe_get pow10 k))
+
+(* [fold_limit.(k)]: the largest m for which m 10^k + 9 is at most
+   [max_int]. *)
+let fold_limit = Array.init 19 (fun k -> if k = 0 then max_int else (max_int - 9) / int_pow10.(k))
+
+let two53 = 1 lsl 53
+
+(* Whether the double y is the nearest to y + err + d for every
+   |d| <= margin, y positive and normal: half the gap to the neighbour
+   on err's side, less 2^-30 of it for the rounding of the sum on the
+   left.  With c = y 2^-53, exact, in [ulp/2, ulp) for y's ulp, y + c
+   rounds up to y + ulp, except at y = 2^k, where c is exactly ulp/2 and
+   the tie goes to y; there the gap above is 2c and the gap below c.
+   Inlined, so that the floats stay unboxed. *)
+let[@inline] nearest y err margin =
+  let c = y *. 0x1p-53 in
+  let u = y +. c -. y in
+  let gap = if u > 0. then u else if err >= 0. then 2. *. c else c in
+  Float.abs err +. margin <= gap *. (0.5 -. 0x1p-31)
+
+(* m 10^e for 2^53 < m < 2^62 and 0 <= e <= 22, or nan. *)
+let product m e =
+  let mh = Float.of_int (m land lnot 1023) and ml = Float.of_int (m land 1023) in
+  let p = Array.unsafe_get pow10 e in
+  let h = mh *. p in
+  let t = ml *. p in
+  let tail = Float.fma mh p (-.h) +. t in
+  let y = h +. tail in
+  let err = tail -. (y -. h) in
+  if nearest y err ((Float.abs tail +. Float.abs t) *. 0x1p-50) then y else Float.nan
+
+(* 10^-k rounded, for the tail of a quotient: one more rounding there
+   stays inside its error bound. *)
+let inv_pow10 = Array.map (fun p -> 1. /. p) pow10
+
+(* m 10^-k for 2^53 < m < 2^62 and 1 <= k <= 22, or nan.  The tail's
+   three roundings (a sum, the reciprocal, a product) err by under
+   2^-51 of it. *)
+let quotient m k =
+  let mh = Float.of_int (m land lnot 1023) and ml = Float.of_int (m land 1023) in
+  let p = Array.unsafe_get pow10 k in
+  let q = mh /. p in
+  let tail = (Float.fma (-.q) p mh +. ml) *. Array.unsafe_get inv_pow10 k in
+  let y = q +. tail in
+  let err = tail -. (y -. q) in
+  if nearest y err (Float.abs tail *. 0x1p-50) then y else Float.nan
+
+(* The double nearest m 10^e for 0 < m < 2^62, or nan where the paths
+   above cannot prove it. *)
+let magnitude m e =
+  if m <= two53 then
+    if e >= 0 && e <= 22 then Float.of_int m *. Array.unsafe_get pow10 e
+    else if e < 0 && e >= -22 then Float.of_int m /. Array.unsafe_get pow10 (-e)
+    else if e > 22 && e <= 22 + 18 && m <= two53 / Array.unsafe_get int_pow10 (e - 22) then
+      Float.of_int (m * Array.unsafe_get int_pow10 (e - 22)) *. 1e22
+    else Float.nan
+  else if e >= 0 && e <= 22 then product m e
+  else if e < 0 && e >= -22 then quotient m (-e)
+  else Float.nan
+
+(* A character strtod could take in some number; a span that breaks the
+   grammar on one of these is refused, on any other left to strtod. *)
+let number_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+let read s start stop =
+  if start < 0 || stop > String.length s || start > stop then invalid_arg "Float_digits.read";
+  let neg = start < stop && String.unsafe_get s start = '-' in
+  let signed = neg || (start < stop && String.unsafe_get s start = '+') in
+  let first = if signed then start + 1 else start in
+  let i = ref first in
+  (* m, the zeros [held] back from it, and e: the span is
+     m 10^(held + e).  Leading zeros are held too, and dropped when the
+     first non-zero digit arrives at m = 0. *)
+  let m = ref 0 and held = ref 0 and e = ref 0 and fits = ref true in
+  let point = ref (-1) in
+  let continue = ref true in
+  while !continue && !i < stop do
+    let c = String.unsafe_get s !i in
+    if c >= '0' && c <= '9' then begin
+      if c = '0' then incr held
+      else if !m = 0 then begin
+        m := Char.code c - 48;
+        held := 0
+      end
+      else begin
+        let k = !held + 1 in
+        if k <= 18 && !m <= Array.unsafe_get fold_limit k then
+          m := (!m * Array.unsafe_get int_pow10 k) + (Char.code c - 48)
+        else fits := false;
+        held := 0
+      end;
+      incr i
+    end
+    else if c = '.' && !point < 0 then begin
+      point := !i;
+      incr i
+    end
+    else continue := false
+  done;
+  (* Every digit after the point lowers the exponent by one. *)
+  if !point >= 0 then e := !point + 1 - !i;
+  let digits = !i - first - if !point >= 0 then 1 else 0 in
+  let ok = ref (digits > 0) in
+  if !ok && !i < stop && (String.unsafe_get s !i = 'e' || String.unsafe_get s !i = 'E') then begin
+    incr i;
+    let eneg = !i < stop && String.unsafe_get s !i = '-' in
+    if eneg || (!i < stop && String.unsafe_get s !i = '+') then incr i;
+    let x = ref 0 and exponent = !i in
+    while !i < stop && String.unsafe_get s !i >= '0' && String.unsafe_get s !i <= '9' do
+      (* Past 10^5 the double is 0 or infinite, and strtod says which. *)
+      if !x < 100_000 then x := (!x * 10) + (Char.code (String.unsafe_get s !i) - 48)
+      else fits := false;
+      incr i
+    done;
+    ok := !i > exponent;
+    e := !e + if eneg then - !x else !x
+  end;
+  if not (!ok && !i = stop) then
+    if !i < stop && not (number_char (String.unsafe_get s !i)) then strtod s start stop
+    else raise refused
+  else if !m = 0 && !fits then if neg then -0. else 0.
+  else begin
+    let v = if !fits then magnitude !m (!e + !held) else Float.nan in
+    if Float.is_nan v then strtod s start stop else if neg then -.v else v
+  end

@@ -10,52 +10,65 @@ exception Parse_error of { position : int; message : string }
 
 (* ------------------------- parsing ------------------------- *)
 
+(* The lexer allocates only the tree it returns (and the error it
+   raises): characters are tested in place, a string without escapes is
+   one [String.sub], a number is read from its span by
+   [Float_digits.read], and lists are built in order by
+   tail-modulo-cons, without a reversed copy. *)
+
 type parser_state = { input : string; mutable pos : int }
 
 let fail st message = raise (Parse_error { position = st.pos; message })
 
-let peek st = if st.pos < String.length st.input then Some st.input.[st.pos] else None
+let at_end st = st.pos >= String.length st.input
+
+(* Whether the next character is [c]. *)
+let at st c = st.pos < String.length st.input && String.unsafe_get st.input st.pos = c
 
 let advance st = st.pos <- st.pos + 1
 
-let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      skip_ws st
-  | _ -> ()
+let skip_ws st =
+  while
+    st.pos < String.length st.input
+    &&
+    match String.unsafe_get st.input st.pos with
+    | ' ' | '\t' | '\n' | '\r' -> true
+    | _ -> false
+  do
+    advance st
+  done
 
 let expect st c =
-  match peek st with
-  | Some d when d = c -> advance st
-  | Some d -> fail st (Printf.sprintf "expected %C, found %C" c d)
-  | None -> fail st (Printf.sprintf "expected %C, found end of input" c)
+  if at st c then advance st
+  else if at_end st then fail st (Printf.sprintf "expected %C, found end of input" c)
+  else fail st (Printf.sprintf "expected %C, found %C" c st.input.[st.pos])
 
 let parse_literal st word value =
   let n = String.length word in
-  if st.pos + n <= String.length st.input && String.sub st.input st.pos n = word then begin
+  let i = ref 0 in
+  if st.pos + n <= String.length st.input then
+    while !i < n && String.unsafe_get st.input (st.pos + !i) = String.unsafe_get word !i do
+      incr i
+    done;
+  if !i = n then begin
     st.pos <- st.pos + n;
     value
   end
   else fail st (Printf.sprintf "invalid literal (expected %s)" word)
 
+let is_number_char c =
+  (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+
+(* The span of number characters, read as [float_of_string] reads it. *)
 let parse_number st =
   let start = st.pos in
-  let is_number_char c =
-    (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-  in
-  let rec consume () =
-    match peek st with
-    | Some c when is_number_char c ->
-        advance st;
-        consume ()
-    | _ -> ()
-  in
-  consume ();
-  let text = String.sub st.input start (st.pos - start) in
-  match float_of_string_opt text with
-  | Some f -> Number f
-  | None -> fail st (Printf.sprintf "invalid number %S" text)
+  while st.pos < String.length st.input && is_number_char (String.unsafe_get st.input st.pos) do
+    advance st
+  done;
+  match Float_digits.read st.input start st.pos with
+  | f -> Number f
+  | exception Failure _ ->
+      fail st (Printf.sprintf "invalid number %S" (String.sub st.input start (st.pos - start)))
 
 let parse_hex4 st =
   if st.pos + 4 > String.length st.input then fail st "truncated \\u escape";
@@ -84,51 +97,69 @@ let utf8_of_code buf code =
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
 
+(* The rest of a string with an escape in it, from the backslash at
+   [st.pos]; [buf] holds what came before. *)
+let rec parse_escaped st buf =
+  if at_end st then fail st "unterminated string";
+  match String.unsafe_get st.input st.pos with
+  | '"' ->
+      advance st;
+      Buffer.contents buf
+  | '\\' ->
+      advance st;
+      if at_end st then fail st "unterminated escape";
+      let c = st.input.[st.pos] in
+      advance st;
+      (match c with
+       | '"' -> Buffer.add_char buf '"'
+       | '\\' -> Buffer.add_char buf '\\'
+       | '/' -> Buffer.add_char buf '/'
+       | 'b' -> Buffer.add_char buf '\b'
+       | 'f' -> Buffer.add_char buf '\012'
+       | 'n' -> Buffer.add_char buf '\n'
+       | 'r' -> Buffer.add_char buf '\r'
+       | 't' -> Buffer.add_char buf '\t'
+       | 'u' ->
+           let code = parse_hex4 st in
+           (* Surrogate pair handling. *)
+           if code >= 0xD800 && code <= 0xDBFF then begin
+             expect st '\\';
+             expect st 'u';
+             let low = parse_hex4 st in
+             if low < 0xDC00 || low > 0xDFFF then fail st "invalid surrogate pair";
+             let combined = 0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00) in
+             utf8_of_code buf combined
+           end
+           else utf8_of_code buf code
+       | c -> fail st (Printf.sprintf "invalid escape \\%C" c));
+      parse_escaped st buf
+  | c ->
+      advance st;
+      Buffer.add_char buf c;
+      parse_escaped st buf
+
+(* A string whose opening quote is consumed: one [String.sub] up to the
+   closing quote, unless an escape comes first. *)
 let parse_string_body st =
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' ->
-        advance st;
-        Buffer.contents buf
-    | Some '\\' -> (
-        advance st;
-        match peek st with
-        | None -> fail st "unterminated escape"
-        | Some c ->
-            advance st;
-            (match c with
-             | '"' -> Buffer.add_char buf '"'
-             | '\\' -> Buffer.add_char buf '\\'
-             | '/' -> Buffer.add_char buf '/'
-             | 'b' -> Buffer.add_char buf '\b'
-             | 'f' -> Buffer.add_char buf '\012'
-             | 'n' -> Buffer.add_char buf '\n'
-             | 'r' -> Buffer.add_char buf '\r'
-             | 't' -> Buffer.add_char buf '\t'
-             | 'u' ->
-                 let code = parse_hex4 st in
-                 (* Surrogate pair handling. *)
-                 if code >= 0xD800 && code <= 0xDBFF then begin
-                   expect st '\\';
-                   expect st 'u';
-                   let low = parse_hex4 st in
-                   if low < 0xDC00 || low > 0xDFFF then fail st "invalid surrogate pair";
-                   let combined =
-                     0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
-                   in
-                   utf8_of_code buf combined
-                 end
-                 else utf8_of_code buf code
-             | c -> fail st (Printf.sprintf "invalid escape \\%C" c));
-            loop ())
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        loop ()
-  in
-  loop ()
+  let start = st.pos in
+  let input = st.input in
+  while
+    st.pos < String.length input
+    &&
+    match String.unsafe_get input st.pos with '"' | '\\' -> false | _ -> true
+  do
+    advance st
+  done;
+  if at st '"' then begin
+    advance st;
+    String.sub input start (st.pos - 1 - start)
+  end
+  else if at_end st then fail st "unterminated string"
+  else begin
+    let buf = Buffer.create (st.pos - start + 16) in
+    Buffer.add_substring buf input start (st.pos - start);
+    parse_escaped st buf
+  end
 
 (* The parser recurses once per nesting level, so adversarial input like
    ["[[[[..."] would otherwise turn into a stack overflow — an exception
@@ -138,71 +169,65 @@ let max_depth = 512
 
 let rec parse_value st ~depth =
   skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some 'n' -> parse_literal st "null" Null
-  | Some 't' -> parse_literal st "true" (Bool true)
-  | Some 'f' -> parse_literal st "false" (Bool false)
-  | Some '"' ->
+  if at_end st then fail st "unexpected end of input";
+  match String.unsafe_get st.input st.pos with
+  | 'n' -> parse_literal st "null" Null
+  | 't' -> parse_literal st "true" (Bool true)
+  | 'f' -> parse_literal st "false" (Bool false)
+  | '"' ->
       advance st;
       String (parse_string_body st)
-  | Some '[' ->
+  | '[' ->
       if depth >= max_depth then fail st "nesting too deep";
       advance st;
       skip_ws st;
-      if peek st = Some ']' then begin
+      if at st ']' then begin
         advance st;
         List []
       end
-      else begin
-        let rec items acc =
-          let v = parse_value st ~depth:(depth + 1) in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              items (v :: acc)
-          | Some ']' ->
-              advance st;
-              List (List.rev (v :: acc))
-          | _ -> fail st "expected ',' or ']'"
-        in
-        items []
-      end
-  | Some '{' ->
+      else List (parse_items st (depth + 1))
+  | '{' ->
       if depth >= max_depth then fail st "nesting too deep";
       advance st;
       skip_ws st;
-      if peek st = Some '}' then begin
+      if at st '}' then begin
         advance st;
         Obj []
       end
-      else begin
-        let parse_pair () =
-          skip_ws st;
-          expect st '"';
-          let key = parse_string_body st in
-          skip_ws st;
-          expect st ':';
-          let v = parse_value st ~depth:(depth + 1) in
-          (key, v)
-        in
-        let rec pairs acc =
-          let p = parse_pair () in
-          skip_ws st;
-          match peek st with
-          | Some ',' ->
-              advance st;
-              pairs (p :: acc)
-          | Some '}' ->
-              advance st;
-              Obj (List.rev (p :: acc))
-          | _ -> fail st "expected ',' or '}'"
-        in
-        pairs []
-      end
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st (Printf.sprintf "unexpected character %C" c)
+      else Obj (parse_pairs st (depth + 1))
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> fail st (Printf.sprintf "unexpected character %C" c)
+
+and[@tail_mod_cons] parse_items st depth =
+  let v = parse_value st ~depth in
+  skip_ws st;
+  if at st ',' then begin
+    advance st;
+    v :: parse_items st depth
+  end
+  else if at st ']' then begin
+    advance st;
+    [ v ]
+  end
+  else raise (Parse_error { position = st.pos; message = "expected ',' or ']'" })
+
+and[@tail_mod_cons] parse_pairs st depth =
+  skip_ws st;
+  expect st '"';
+  let key = parse_string_body st in
+  skip_ws st;
+  expect st ':';
+  let v = parse_value st ~depth in
+  skip_ws st;
+  if at st ',' then begin
+    advance st;
+    (key, v) :: parse_pairs st depth
+  end
+  else if at st '}' then begin
+    advance st;
+    [ (key, v) ]
+  end
+  else raise (Parse_error { position = st.pos; message = "expected ',' or '}'" })
 
 let parse input =
   let st = { input; pos = 0 } in

@@ -4,7 +4,13 @@
     (`ckpt-opt --output plan.json`, `ckpt-simulate --plan plan.json`) and
     to emit machine-readable experiment results.  Supports the full JSON
     value model; numbers are parsed as floats (fine for this library's
-    payloads: seconds, counts, rates). *)
+    payloads: seconds, counts, rates).
+
+    The parser allocates only the tree it returns: characters are
+    tested in place, a string without escapes is one [String.sub], and
+    a number is read from its span by {!Float_digits.read}, which gives
+    the double [float_of_string] gives.  Both directions of number
+    conversion live in {!Float_digits}. *)
 
 type t =
   | Null
@@ -24,7 +30,9 @@ val max_depth : int
 
 val parse : string -> t
 (** @raise Parse_error on malformed input (position is a byte offset) or
-    nesting deeper than {!max_depth}. *)
+    nesting deeper than {!max_depth}.  Positions and messages are part
+    of the protocol (clients see them in [parse] errors) and are pinned
+    by tests. *)
 
 val parse_result : string -> (t, string) result
 (** Like {!parse}, with the error rendered as a message. *)

@@ -22,3 +22,11 @@ let sub s ~pos ~len =
   !crc lxor 0xFFFFFFFF
 
 let string s = sub s ~pos:0 ~len:(String.length s)
+
+(* Only the exact [%08x] form: [int_of_string "0x..."] would also take
+   upper-case digits and [_] separators, so a header byte could change
+   and still read as the same checksum. *)
+let of_hex s =
+  let lower_hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false in
+  if String.length s = 8 && String.for_all lower_hex s then int_of_string_opt ("0x" ^ s)
+  else None

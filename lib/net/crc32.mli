@@ -11,3 +11,9 @@ val string : string -> int
 val sub : string -> pos:int -> len:int -> int
 (** Checksum of the substring; bounds-checked.
     @raise Invalid_argument on an invalid range. *)
+
+val of_hex : string -> int option
+(** [of_hex s] reads a checksum written as [Printf.sprintf "%08x"]:
+    exactly eight lower-case hex digits, [None] for anything else.  A
+    header field that any single-byte change alters is then never read
+    back as the same checksum. *)

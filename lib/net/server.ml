@@ -125,9 +125,6 @@ let oversized_response ~max_line_bytes =
     (Protocol.error_v "invalid-request"
        (Printf.sprintf "request line exceeds %d bytes" max_line_bytes))
 
-let internal_response ?id e =
-  Protocol.error_response ?id (Protocol.error_v "internal" (Printexc.to_string e))
-
 (* [Wire.parse_request] folds every malformed line into its envelope;
    should it raise all the same, the line is answered as [internal]
    like any other server bug, not by dropping the connection. *)
@@ -207,7 +204,7 @@ let process t (envelope : Protocol.envelope) line =
            anything it still raises is a server bug, answered as an
            [internal] error rather than a dropped connection. *)
         try Service.handle_parsed_line t.service envelope line
-        with e -> Json.to_string (internal_response ?id e)
+        with e -> Json.to_string (Service.internal_response ?id e)
       in
       locked t (fun () ->
           t.requests <- t.requests + 1;

@@ -73,7 +73,7 @@ let decode_header s =
       | [ m; v; crc; len ] -> (
           if m <> magic then Error "bad magic"
           else
-            match (int_of_string_opt v, int_of_string_opt ("0x" ^ crc), int_of_string_opt len) with
+            match (int_of_string_opt v, Crc32.of_hex crc, int_of_string_opt len) with
             | Some v, _, _ when v > version ->
                 Error (Printf.sprintf "snapshot version %d is newer than this build (%d)" v version)
             | Some v, _, _ when v < 1 -> Error "bad version"

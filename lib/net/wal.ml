@@ -1,6 +1,6 @@
 module Chaos = Ckpt_chaos.Chaos
 
-exception Injected_crash of string
+exception Injected_crash = Chaos.Injected_crash
 
 type fault_hook = op:string -> Chaos.fault option
 
@@ -67,7 +67,7 @@ let parse_segment ~after s =
               match
                 ( int_of_string_opt seq_s,
                   int_of_string_opt len_s,
-                  int_of_string_opt ("0x" ^ crc_s) )
+                  Crc32.of_hex crc_s )
               with
               | Some seq, Some len, Some crc
                 when len >= 0 && seq > last && nl + 1 + len < total ->

@@ -86,7 +86,7 @@ let canonical ?(precision = default_precision) (p : Optimizer.problem) =
       num serial_fraction;
       add ",peak=";
       num peak
-  | Speedup.Custom ->
+  | Speedup.Custom _ ->
       invalid_arg "Fingerprint.canonical: custom speedups have no canonical form");
   add "|te=";
   num p.Optimizer.te;

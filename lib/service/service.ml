@@ -33,6 +33,10 @@ type t = {
   (* Extra top-level fields appended to the [stats] payload (the server
      reports persistence health through this). *)
   mutable stats_extra : (unit -> (string * Json.t) list) option;
+  (* The buffer the hot responses are streamed into, reused across
+     calls: a fresh 4 KiB one per call would be a major-heap block each
+     time.  Only the coordinator renders, like [Planner.canon_memo]. *)
+  out : Buffer.t;
 }
 
 let create ?(workers = 1) ?cache_capacity ?precision ?resilience ?chaos () =
@@ -49,7 +53,8 @@ let create ?(workers = 1) ?cache_capacity ?precision ?resilience ?chaos () =
     session = None;
     live = true;
     persist = None;
-    stats_extra = None }
+    stats_extra = None;
+    out = Buffer.create 4096 }
 
 let workers t = match t.pool with None -> 0 | Some p -> Pool.workers p
 let session_estimators t = Option.map (fun s -> (s.rates, s.costs)) t.session
@@ -433,6 +438,20 @@ let persist_gate t job k =
           Metrics.incr_errors t.metrics;
           Protocol.error_response ?id:job.envelope.Protocol.id e)
 
+let internal_response ?id e =
+  Protocol.error_response ?id (Protocol.error_v "internal" (Printexc.to_string e))
+
+(* One line's answer, or [internal] if its handler raises — a stats
+   extra, a persist hook, an op's own bug — so that the other lines of
+   the batch are still answered.  An injected crash stands for the
+   process dying and unwinds. *)
+let guarded t job answer render =
+  try answer job with
+  | Chaos.Injected_crash _ as e -> raise e
+  | e ->
+      Metrics.incr_errors t.metrics;
+      render (internal_response ?id:job.envelope.Protocol.id e)
+
 (* Reassemble one response per line, in order. *)
 let respond t ~outcomes ~sim_by_slot job =
   let id = job.envelope.Protocol.id in
@@ -515,7 +534,9 @@ let unparsed lines = List.map (fun line -> (line, None)) lines
 let handle_batch t lines =
   let t0 = Metrics.now_ms () in
   let jobs, outcomes, sim_by_slot = run_batch t (unparsed lines) in
-  let responses = List.map (respond t ~outcomes ~sim_by_slot) jobs in
+  let responses =
+    List.map (fun job -> guarded t job (respond t ~outcomes ~sim_by_slot) Fun.id) jobs
+  in
   Metrics.record_batch_ms t.metrics (Metrics.now_ms () -. t0);
   responses
 
@@ -527,7 +548,7 @@ let handle_batch t lines =
 let render_lines t items =
   let t0 = Metrics.now_ms () in
   let jobs, outcomes, sim_by_slot = run_batch t items in
-  let buf = Buffer.create 4096 in
+  let buf = t.out in
   let finish () =
     let s = Buffer.contents buf in
     (* Don't let one huge sweep response pin its capacity forever. *)
@@ -535,6 +556,8 @@ let render_lines t items =
     s
   in
   let render job =
+    (* A handler that raised mid-write left its bytes behind. *)
+    Buffer.clear buf;
     let id = job.envelope.Protocol.id in
     match job.envelope.Protocol.request with
     | Ok (Protocol.Plan _) when Result.is_ok outcomes.(job.offset) -> (
@@ -555,7 +578,7 @@ let render_lines t items =
         finish ()
     | _ -> Json.to_string (respond t ~outcomes ~sim_by_slot job)
   in
-  let responses = List.map render jobs in
+  let responses = List.map (fun job -> guarded t job render Json.to_string) jobs in
   Metrics.record_batch_ms t.metrics (Metrics.now_ms () -. t0);
   responses
 

@@ -85,7 +85,13 @@ val restore_session :
 val handle_batch : t -> string list -> Ckpt_json.Json.t list
 (** [handle_batch t lines] answers one response per request line, order
     preserved.  Malformed lines yield error responses; they never
-    abort the batch. *)
+    abort the batch.  A line whose handler raises (a {!set_stats_extra}
+    or {!set_persist_hook} callback, or a bug) is answered with
+    {!internal_response} and the rest of the batch still runs. *)
+
+val internal_response : ?id:Ckpt_json.Json.t -> exn -> Ckpt_json.Json.t
+(** The [internal] error that answers a line whose handler raised [e]:
+    [{"code": "internal", "message": Printexc.to_string e}]. *)
 
 val handle_line : t -> string -> Ckpt_json.Json.t
 (** Single-request convenience over {!handle_batch}. *)

@@ -1,16 +1,21 @@
 (* Zero-tree wire fastpath for the hot protocol shapes.
 
-   Decode: a recursive-descent scanner over the raw line that builds
-   [Protocol.query] values directly — no [Json.t] tree — for the three
-   solver-bound ops (plan, batch-plan, sweep).  The scanner accepts a
-   strict subset of what the tree parser accepts: any deviation (escape
-   sequences, unknown fields, duplicate keys, shape or validation
-   errors) raises [Slow] and the caller falls back to
-   [Protocol.parse_request], so observable behaviour is always
-   tree-equal — the fast path only ever short-circuits lines the tree
-   parser would have answered [Ok].  Numbers are converted with
-   [float_of_string] over the same character span the tree parser's
-   number lexer consumes, so every float is bit-identical.
+   Decode: a scanner over the raw line that builds [Protocol.query]
+   values directly — no [Json.t] tree — for the three solver-bound ops
+   (plan, batch-plan, sweep).  It accepts a strict subset of what the
+   tree parser accepts: any deviation (escape sequences, unknown fields,
+   duplicate keys, another op, shape or validation errors) raises
+   [Slow] and the caller falls back to [Protocol.parse_request], so
+   observable behaviour is always tree-equal — the fast path only ever
+   short-circuits lines the tree parser would have answered [Ok].
+   Numbers are read by [Float_digits.read] over the same character span
+   the tree parser's number lexer cuts, so every float is bit-identical.
+
+   The scanner allocates only what it returns.  Each object is read by a
+   loop into local slots (the compiler keeps them in registers, where a
+   closure per field would capture them in heap cells), keys and enum
+   strings are compared in place, a bit per field catches duplicates,
+   and an [op] that names another op stops the scan at once.
 
    Encode: streaming writers for the matching responses, byte-identical
    to [Json.to_string (Protocol.*_response ...)], reusing the caller's
@@ -18,432 +23,472 @@
 
 open Ckpt_model
 module Json = Ckpt_json.Json
+module Float_digits = Ckpt_json.Float_digits
 module Failure_spec = Ckpt_failures.Failure_spec
 
 exception Slow
 
-type scan = { s : string; mutable pos : int }
+(* The line, the position, and the span of the last string value
+   [scan_span] found (a level name or a string id, the strings that are
+   cut out of the line). *)
+type scan = { s : string; mutable pos : int; mutable span : int; mutable span_len : int }
 
 let len sc = String.length sc.s
 
+(* The scanning loops run on a local index and store the position once:
+   a mutable field read and written per byte is a load and a store per
+   byte. *)
 let skip_ws sc =
+  let i = ref sc.pos in
   while
-    sc.pos < len sc
+    !i < len sc
     &&
-    match String.unsafe_get sc.s sc.pos with
+    match String.unsafe_get sc.s !i with
     | ' ' | '\t' | '\n' | '\r' -> true
     | _ -> false
   do
-    sc.pos <- sc.pos + 1
-  done
+    incr i
+  done;
+  sc.pos <- !i
 
-let peek sc = if sc.pos < len sc then String.unsafe_get sc.s sc.pos else '\000'
+let[@inline] peek sc = if sc.pos < len sc then String.unsafe_get sc.s sc.pos else '\000'
 
-let expect sc c =
-  skip_ws sc;
-  if sc.pos < len sc && String.unsafe_get sc.s sc.pos = c then
-    sc.pos <- sc.pos + 1
-  else raise Slow
-
-let eat sc c =
-  skip_ws sc;
+(* Whether [c] is next, whitespace skipped, and consumes it if so.
+   Protocol lines are compact: the first test is usually the answer. *)
+let[@inline] eat sc c =
   if sc.pos < len sc && String.unsafe_get sc.s sc.pos = c then begin
     sc.pos <- sc.pos + 1;
     true
   end
-  else false
+  else begin
+    skip_ws sc;
+    if sc.pos < len sc && String.unsafe_get sc.s sc.pos = c then begin
+      sc.pos <- sc.pos + 1;
+      true
+    end
+    else false
+  end
 
-(* A string with no escapes; the opening quote is already consumed.
-   Escapes are rare in protocol traffic — leave them to the tree. *)
-let scan_string_body sc =
+let[@inline] expect sc c = if not (eat sc c) then raise Slow
+
+(* A string with no escapes, its opening quote consumed: its span is
+   left in [span], [span_len].  Escapes are rare in protocol traffic —
+   leave them to the tree. *)
+let scan_span sc =
   let start = sc.pos in
-  let rec seek () =
-    if sc.pos >= len sc then raise Slow
-    else
-      match String.unsafe_get sc.s sc.pos with
-      | '"' ->
-          let v = String.sub sc.s start (sc.pos - start) in
-          sc.pos <- sc.pos + 1;
-          v
-      | '\\' -> raise Slow
-      | _ ->
-          sc.pos <- sc.pos + 1;
-          seek ()
-  in
-  seek ()
+  let i = ref start in
+  while
+    !i < len sc && match String.unsafe_get sc.s !i with '"' | '\\' -> false | _ -> true
+  do
+    incr i
+  done;
+  if !i >= len sc || String.unsafe_get sc.s !i = '\\' then raise Slow;
+  sc.span <- start;
+  sc.span_len <- !i - start;
+  sc.pos <- !i + 1
 
 let scan_string sc =
   expect sc '"';
-  scan_string_body sc
+  scan_span sc
+
+(* Whether the next bytes are [lit]; consumes them if so. *)
+let literal sc lit =
+  let n = String.length lit in
+  sc.pos + n <= len sc
+  &&
+  let i = ref 0 in
+  while !i < n && String.unsafe_get sc.s (sc.pos + !i) = String.unsafe_get lit !i do
+    incr i
+  done;
+  !i = n
+  &&
+  (sc.pos <- sc.pos + n;
+   true)
+
+(* Inside a string whose opening quote is consumed: whether it reads
+   [lit], compared in place; consumes it and the closing quote if so.  A
+   string with an escape matches no literal. *)
+let word sc lit =
+  let n = String.length lit in
+  sc.pos + n < len sc
+  && String.unsafe_get sc.s (sc.pos + n) = '"'
+  &&
+  let i = ref 0 in
+  while !i < n && String.unsafe_get sc.s (sc.pos + !i) = String.unsafe_get lit !i do
+    incr i
+  done;
+  !i = n
+  &&
+  (sc.pos <- sc.pos + n + 1;
+   true)
+
+(* A field key, its opening quote consumed: whether it is [lit], and if
+   so the ':' after it is consumed too. *)
+let[@inline] key sc lit = word sc lit && (expect sc ':'; true)
+
+(* The opening quote of a key or an enum value, whose text {!key} or
+   {!word} then matches in place: neither is ever cut out of the line.
+   An unknown one matches no literal and sends the line to the tree. *)
+let[@inline] opening_quote sc = expect sc '"'
+
+let span_string sc = String.sub sc.s sc.span sc.span_len
 
 let is_number_char c =
   (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
 
-(* Same start, same span, same [float_of_string] as the tree parser's
-   number lexer: bit-identical floats by construction.  Like the tree,
-   a number must start with '-' or a digit — [float_of_string] alone
-   would also take "+5" and ".5", which the tree rejects as not JSON. *)
+(* Same start and span as the tree parser's number lexer, read by the
+   same [Float_digits.read]: bit-identical floats by construction.  Like
+   the tree, a number must start with '-' or a digit — [float_of_string]
+   alone would also take "+5" and ".5", which the tree rejects as not
+   JSON.  A span [read] refuses raises [Failure], which sends the line to
+   the tree like [Slow]. *)
 let scan_number sc =
-  skip_ws sc;
+  (match peek sc with '-' | '0' .. '9' -> () | _ -> skip_ws sc);
   let start = sc.pos in
   (match peek sc with '-' | '0' .. '9' -> () | _ -> raise Slow);
-  while sc.pos < len sc && is_number_char (String.unsafe_get sc.s sc.pos) do
-    sc.pos <- sc.pos + 1
+  let i = ref (start + 1) in
+  while !i < len sc && is_number_char (String.unsafe_get sc.s !i) do
+    incr i
   done;
-  match float_of_string_opt (String.sub sc.s start (sc.pos - start)) with
-  | Some f -> f
-  | None -> raise Slow
+  sc.pos <- !i;
+  Float_digits.read sc.s start !i
 
-(* Field keys are matched in place — no substring per key. *)
-let scan_key sc =
-  expect sc '"';
-  let start = sc.pos in
-  let rec seek () =
-    if sc.pos >= len sc then raise Slow
-    else
-      match String.unsafe_get sc.s sc.pos with
-      | '"' ->
-          let l = sc.pos - start in
-          sc.pos <- sc.pos + 1;
-          (start, l)
-      | '\\' -> raise Slow
-      | _ ->
-          sc.pos <- sc.pos + 1;
-          seek ()
-  in
-  seek ()
-
-let key_eq sc (start, l) lit =
-  l = String.length lit
-  &&
-  let rec go i =
-    i = l || (String.unsafe_get sc.s (start + i) = String.unsafe_get lit i && go (i + 1))
-  in
-  go 0
-
-(* Iterate the fields of an object whose '{' is not yet consumed.
-   [field] receives the key span with the scanner positioned on the
-   value (':' consumed) and must consume exactly that value. *)
-let scan_obj sc field =
+(* Opens an object: whether a field follows. *)
+let[@inline] first_field sc =
   expect sc '{';
-  skip_ws sc;
-  if peek sc = '}' then sc.pos <- sc.pos + 1
-  else
-    let rec pairs () =
-      let key = scan_key sc in
-      expect sc ':';
-      field key;
-      if eat sc ',' then pairs () else expect sc '}'
-    in
-    pairs ()
+  not (eat sc '}')
 
-let required = function Some v -> v | None -> raise Slow
+(* After a field's value: whether another field follows. *)
+let[@inline] next_field sc =
+  if eat sc ',' then true
+  else begin
+    expect sc '}';
+    false
+  end
 
-(* Duplicate keys would shadow differently than the tree's first-wins
-   [List.assoc]; bail instead of choosing. *)
-let fresh = function None -> () | Some _ -> raise Slow
+(* Marks [bit] in a set of seen fields.  Duplicate keys would shadow
+   differently than the tree's first-wins [List.assoc]; bail instead of
+   choosing. *)
+let[@inline] mark seen bit = if seen land bit <> 0 then raise Slow else seen lor bit
+
+(* The elements of a JSON array, one [item] each, in an array that
+   doubles from 4 as needed and is cut to length once at the end. *)
+let scan_array sc item =
+  expect sc '[';
+  if eat sc ']' then [||]
+  else begin
+    let first = item sc in
+    let a = ref (Array.make 4 first) and n = ref 1 in
+    while eat sc ',' do
+      let x = item sc in
+      if !n = Array.length !a then begin
+        let b = Array.make (2 * !n) first in
+        Array.blit !a 0 b 0 !n;
+        a := b
+      end;
+      Array.unsafe_set !a !n x;
+      incr n
+    done;
+    expect sc ']';
+    if !n = Array.length !a then !a else Array.sub !a 0 !n
+  end
 
 (* --------------- problem pieces (mirrors Codec.*_of_json) --------------- *)
 
 let scan_overhead sc =
-  let eps = ref None and alpha = ref None and h = ref None in
-  scan_obj sc (fun key ->
-      if key_eq sc key "eps" then begin
-        fresh !eps;
-        eps := Some (scan_number sc)
-      end
-      else if key_eq sc key "alpha" then begin
-        fresh !alpha;
-        alpha := Some (scan_number sc)
-      end
-      else if key_eq sc key "h" then begin
-        fresh !h;
-        h := Some (scan_string sc)
-      end
-      else raise Slow);
-  let eps = required !eps and alpha = required !alpha in
-  match required !h with
-  | "0" -> Overhead.constant eps
-  | "N" -> if alpha = 0. then Overhead.constant eps else Overhead.linear ~eps ~alpha
-  | _ -> raise Slow
+  let seen = ref 0 and eps = ref 0. and alpha = ref 0. and linear = ref false in
+  let more = ref (first_field sc) in
+  while !more do
+    opening_quote sc;
+    if key sc "eps" then begin
+      seen := mark !seen 1;
+      eps := scan_number sc
+    end
+    else if key sc "alpha" then begin
+      seen := mark !seen 2;
+      alpha := scan_number sc
+    end
+    else if key sc "h" then begin
+      seen := mark !seen 4;
+      opening_quote sc;
+      if word sc "N" then linear := true else if not (word sc "0") then raise Slow
+    end
+    else raise Slow;
+    more := next_field sc
+  done;
+  if !seen <> 7 then raise Slow;
+  if !linear && !alpha <> 0. then Overhead.linear ~eps:!eps ~alpha:!alpha
+  else Overhead.constant !eps
+
+let no_overhead = Overhead.constant 0.
 
 let scan_level sc =
-  let name = ref None and ckpt = ref None and restart = ref None in
-  scan_obj sc (fun key ->
-      if key_eq sc key "name" then begin
-        fresh !name;
-        name := Some (scan_string sc)
-      end
-      else if key_eq sc key "ckpt" then begin
-        fresh !ckpt;
-        ckpt := Some (scan_overhead sc)
-      end
-      else if key_eq sc key "restart" then begin
-        fresh !restart;
-        restart := Some (scan_overhead sc)
-      end
-      else raise Slow);
-  Level.v ~name:(required !name) ~restart:(required !restart) (required !ckpt)
+  let seen = ref 0 and name = ref "" and ckpt = ref no_overhead and restart = ref no_overhead in
+  let more = ref (first_field sc) in
+  while !more do
+    opening_quote sc;
+    if key sc "name" then begin
+      seen := mark !seen 1;
+      scan_string sc;
+      name := span_string sc
+    end
+    else if key sc "ckpt" then begin
+      seen := mark !seen 2;
+      ckpt := scan_overhead sc
+    end
+    else if key sc "restart" then begin
+      seen := mark !seen 4;
+      restart := scan_overhead sc
+    end
+    else raise Slow;
+    more := next_field sc
+  done;
+  if !seen <> 7 then raise Slow;
+  { Level.name = !name; ckpt = !ckpt; restart = !restart }
+
+(* Speedup kinds, as bits of the fields each needs. *)
+let kappa_bit = 2 and n_star_bit = 4 and serial_bit = 8 and peak_bit = 16
 
 let scan_speedup sc =
-  let kind = ref None
-  and kappa = ref None
-  and n_star = ref None
-  and serial_fraction = ref None
-  and peak = ref None in
-  scan_obj sc (fun key ->
-      if key_eq sc key "kind" then begin
-        fresh !kind;
-        kind := Some (scan_string sc)
-      end
-      else if key_eq sc key "kappa" then begin
-        fresh !kappa;
-        kappa := Some (scan_number sc)
-      end
-      else if key_eq sc key "n_star" then begin
-        fresh !n_star;
-        n_star := Some (scan_number sc)
-      end
-      else if key_eq sc key "serial_fraction" then begin
-        fresh !serial_fraction;
-        serial_fraction := Some (scan_number sc)
-      end
-      else if key_eq sc key "peak" then begin
-        fresh !peak;
-        peak := Some (scan_number sc)
-      end
-      else raise Slow);
-  match required !kind with
-  | "linear" -> Speedup.linear ~kappa:(required !kappa)
-  | "quadratic" -> Speedup.quadratic ~kappa:(required !kappa) ~n_star:(required !n_star)
-  | "amdahl" ->
-      Speedup.amdahl ~serial_fraction:(required !serial_fraction) ~peak:(required !peak)
-  | "gustafson" ->
-      Speedup.gustafson ~serial_fraction:(required !serial_fraction)
-        ~peak:(required !peak)
-  | _ -> raise Slow
+  let seen = ref 0 and kind = ref 0 in
+  let kappa = ref 0. and n_star = ref 0. and serial_fraction = ref 0. and peak = ref 0. in
+  let more = ref (first_field sc) in
+  while !more do
+    opening_quote sc;
+    if key sc "kind" then begin
+      seen := mark !seen 1;
+      opening_quote sc;
+      kind :=
+        if word sc "quadratic" then kappa_bit lor n_star_bit
+        else if word sc "linear" then kappa_bit
+        else if word sc "amdahl" then serial_bit lor peak_bit lor 32
+        else if word sc "gustafson" then serial_bit lor peak_bit
+        else raise Slow
+    end
+    else if key sc "kappa" then begin
+      seen := mark !seen kappa_bit;
+      kappa := scan_number sc
+    end
+    else if key sc "n_star" then begin
+      seen := mark !seen n_star_bit;
+      n_star := scan_number sc
+    end
+    else if key sc "serial_fraction" then begin
+      seen := mark !seen serial_bit;
+      serial_fraction := scan_number sc
+    end
+    else if key sc "peak" then begin
+      seen := mark !seen peak_bit;
+      peak := scan_number sc
+    end
+    else raise Slow;
+    more := next_field sc
+  done;
+  (* The kind's own fields must be there; others the tree ignores. *)
+  let needs = !kind land 31 in
+  if !seen land 1 = 0 || !seen land needs <> needs then raise Slow;
+  if needs = kappa_bit lor n_star_bit then Speedup.quadratic ~kappa:!kappa ~n_star:!n_star
+  else if needs = kappa_bit then Speedup.linear ~kappa:!kappa
+  else if !kind land 32 <> 0 then
+    Speedup.amdahl ~serial_fraction:!serial_fraction ~peak:!peak
+  else Speedup.gustafson ~serial_fraction:!serial_fraction ~peak:!peak
 
-let scan_float_array sc =
-  expect sc '[';
-  skip_ws sc;
-  if peek sc = ']' then begin
-    sc.pos <- sc.pos + 1;
-    [||]
-  end
-  else
-    let rec items acc =
-      let v = scan_number sc in
-      if eat sc ',' then items (v :: acc) else begin
-        expect sc ']';
-        Array.of_list (List.rev (v :: acc))
-      end
-    in
-    items []
-
-let scan_levels sc =
-  expect sc '[';
-  skip_ws sc;
-  if peek sc = ']' then begin
-    sc.pos <- sc.pos + 1;
-    [||]
-  end
-  else
-    let rec items acc =
-      let v = scan_level sc in
-      if eat sc ',' then items (v :: acc) else begin
-        expect sc ']';
-        Array.of_list (List.rev (v :: acc))
-      end
-    in
-    items []
+let no_speedup = Speedup.linear ~kappa:1.
+let no_levels = [| Level.v no_overhead |]
 
 let scan_problem sc =
-  let te = ref None
-  and speedup = ref None
-  and levels = ref None
-  and alloc = ref None
-  and rates = ref None
-  and baseline_scale = ref None in
-  scan_obj sc (fun key ->
-      if key_eq sc key "te" then begin
-        fresh !te;
-        te := Some (scan_number sc)
-      end
-      else if key_eq sc key "speedup" then begin
-        fresh !speedup;
-        speedup := Some (scan_speedup sc)
-      end
-      else if key_eq sc key "levels" then begin
-        fresh !levels;
-        levels := Some (scan_levels sc)
-      end
-      else if key_eq sc key "alloc" then begin
-        fresh !alloc;
-        alloc := Some (scan_number sc)
-      end
-      else if key_eq sc key "rates_per_day" then begin
-        fresh !rates;
-        rates := Some (scan_float_array sc)
-      end
-      else if key_eq sc key "baseline_scale" then begin
-        fresh !baseline_scale;
-        baseline_scale := Some (scan_number sc)
-      end
-      else raise Slow);
-  let levels = required !levels and rates = required !rates in
-  if Array.length rates <> Array.length levels then raise Slow;
+  let seen = ref 0 and te = ref 0. and alloc = ref 0. and baseline_scale = ref 0. in
+  let speedup = ref no_speedup and levels = ref no_levels and rates = ref [||] in
+  let more = ref (first_field sc) in
+  while !more do
+    opening_quote sc;
+    if key sc "te" then begin
+      seen := mark !seen 1;
+      te := scan_number sc
+    end
+    else if key sc "speedup" then begin
+      seen := mark !seen 2;
+      speedup := scan_speedup sc
+    end
+    else if key sc "levels" then begin
+      seen := mark !seen 4;
+      levels := scan_array sc scan_level
+    end
+    else if key sc "alloc" then begin
+      seen := mark !seen 8;
+      alloc := scan_number sc
+    end
+    else if key sc "rates_per_day" then begin
+      seen := mark !seen 16;
+      rates := scan_array sc scan_number
+    end
+    else if key sc "baseline_scale" then begin
+      seen := mark !seen 32;
+      baseline_scale := scan_number sc
+    end
+    else raise Slow;
+    more := next_field sc
+  done;
+  if !seen <> 63 || Array.length !rates <> Array.length !levels then raise Slow;
   let problem =
-    { Optimizer.te = required !te;
-      speedup = required !speedup;
-      levels;
-      alloc = required !alloc;
-      spec = Failure_spec.v ~baseline_scale:(required !baseline_scale) rates }
+    { Optimizer.te = !te;
+      speedup = !speedup;
+      levels = !levels;
+      alloc = !alloc;
+      spec = Failure_spec.v ~baseline_scale:!baseline_scale !rates }
   in
   Optimizer.check_problem problem;
   problem
 
-let scan_problems sc =
-  expect sc '[';
-  skip_ws sc;
-  if peek sc = ']' then raise Slow (* tree path owns the "empty" error *)
-  else
-    let rec items acc =
-      let v = scan_problem sc in
-      if eat sc ',' then items (v :: acc) else begin
-        expect sc ']';
-        Array.of_list (List.rev (v :: acc))
-      end
-    in
-    items []
-
 (* The request id can be any JSON value; scalars cover real traffic. *)
+let scan_literal sc w v = if literal sc w then v else raise Slow
+
 let scan_id sc =
   skip_ws sc;
   match peek sc with
   | '"' ->
       sc.pos <- sc.pos + 1;
-      Json.String (scan_string_body sc)
+      scan_span sc;
+      Json.String (span_string sc)
   | '-' | '0' .. '9' -> Json.Number (scan_number sc)
-  | 't' | 'f' | 'n' ->
-      let lit w v =
-        let n = String.length w in
-        if sc.pos + n <= len sc && String.sub sc.s sc.pos n = w then begin
-          sc.pos <- sc.pos + n;
-          v
-        end
-        else raise Slow
-      in
-      if peek sc = 't' then lit "true" (Json.Bool true)
-      else if peek sc = 'f' then lit "false" (Json.Bool false)
-      else lit "null" Json.Null
+  | 't' -> scan_literal sc "true" (Json.Bool true)
+  | 'f' -> scan_literal sc "false" (Json.Bool false)
+  | 'n' -> scan_literal sc "null" Json.Null
   | _ -> raise Slow
 
 (* --------------- requests --------------- *)
 
 let positive f = if not (f > 0.) then raise Slow
 
+(* Scales outside the speedup's positive range are the tree's to refuse,
+   with its message. *)
+let in_range problem n =
+  if not (Protocol.scale_in_range problem.Optimizer.speedup n) then raise Slow
+
+(* The fastpath ops, and the envelope's [op] for each. *)
+let plan_op = 1 and batch_op = 2 and sweep_op = 3
+let some_plan = Some "plan" and some_batch = Some "batch-plan" and some_sweep = Some "sweep"
+
+let op_bit = 1 and id_bit = 2 and problem_bit = 4 and problems_bit = 8 and solution_bit = 16
+and fixed_n_bit = 32 and delta_bit = 64 and param_bit = 128 and values_bit = 256
+
+let no_problem =
+  { Optimizer.te = 0.;
+    speedup = no_speedup;
+    levels = no_levels;
+    alloc = 0.;
+    spec = Failure_spec.v [| 0. |] }
+
+let no_problems : Optimizer.problem array = [||]
+let has seen bit = seen land bit <> 0
+
 let scan_request sc =
-  let op = ref None
-  and id = ref None
-  and problem = ref None
-  and problems = ref None
-  and solution = ref None
-  and fixed_n = ref None
-  and delta = ref None
-  and param = ref None
-  and values = ref None in
-  scan_obj sc (fun key ->
-      if key_eq sc key "op" then begin
-        fresh !op;
-        op := Some (scan_string sc)
-      end
-      else if key_eq sc key "id" then begin
-        fresh !id;
-        id := Some (scan_id sc)
-      end
-      else if key_eq sc key "problem" then begin
-        fresh !problem;
-        problem := Some (scan_problem sc)
-      end
-      else if key_eq sc key "problems" then begin
-        fresh !problems;
-        problems := Some (scan_problems sc)
-      end
-      else if key_eq sc key "solution" then begin
-        fresh !solution;
-        solution := Some (scan_string sc)
-      end
-      else if key_eq sc key "fixed_n" then begin
-        fresh !fixed_n;
-        fixed_n := Some (scan_number sc)
-      end
-      else if key_eq sc key "delta" then begin
-        fresh !delta;
-        delta := Some (scan_number sc)
-      end
-      else if key_eq sc key "param" then begin
-        fresh !param;
-        param := Some (scan_string sc)
-      end
-      else if key_eq sc key "values" then begin
-        fresh !values;
-        values := Some (scan_float_array sc)
-      end
-      else raise Slow);
+  let seen = ref 0 and op = ref 0 and id = ref None in
+  let problem = ref no_problem and problems = ref no_problems in
+  let solution = ref Protocol.Ml_opt and fixed_n = ref 0. and delta = ref Protocol.default_delta in
+  let param = ref Protocol.Scale and values = ref [||] in
+  let more = ref (first_field sc) in
+  while !more do
+    opening_quote sc;
+    if key sc "op" then begin
+      seen := mark !seen op_bit;
+      opening_quote sc;
+      (* Any other op is the tree's: stop here rather than scan on. *)
+      op :=
+        if word sc "plan" then plan_op
+        else if word sc "batch-plan" then batch_op
+        else if word sc "sweep" then sweep_op
+        else raise Slow
+    end
+    else if key sc "id" then begin
+      seen := mark !seen id_bit;
+      id := Some (scan_id sc)
+    end
+    else if key sc "problem" then begin
+      seen := mark !seen problem_bit;
+      problem := scan_problem sc
+    end
+    else if key sc "problems" then begin
+      seen := mark !seen problems_bit;
+      problems := scan_array sc scan_problem
+    end
+    else if key sc "solution" then begin
+      seen := mark !seen solution_bit;
+      opening_quote sc;
+      solution :=
+        if word sc "ml-opt" then Protocol.Ml_opt
+        else if word sc "ml-ori" then Protocol.Ml_ori
+        else if word sc "sl-opt" then Protocol.Sl_opt
+        else if word sc "sl-ori" then Protocol.Sl_ori
+        else raise Slow
+    end
+    else if key sc "fixed_n" then begin
+      seen := mark !seen fixed_n_bit;
+      fixed_n := scan_number sc;
+      positive !fixed_n
+    end
+    else if key sc "delta" then begin
+      seen := mark !seen delta_bit;
+      delta := scan_number sc;
+      positive !delta
+    end
+    else if key sc "param" then begin
+      seen := mark !seen param_bit;
+      opening_quote sc;
+      param :=
+        if word sc "scale" || word sc "fixed_n" then Protocol.Scale
+        else if word sc "te" then Protocol.Te
+        else if word sc "alloc" then Protocol.Alloc
+        else raise Slow
+    end
+    else if key sc "values" then begin
+      seen := mark !seen values_bit;
+      values := scan_array sc scan_number
+    end
+    else raise Slow;
+    more := next_field sc
+  done;
   skip_ws sc;
   if sc.pos <> len sc then raise Slow;
-  let solution =
-    match !solution with
-    | None -> Protocol.Ml_opt
-    | Some "ml-opt" -> Protocol.Ml_opt
-    | Some "ml-ori" -> Protocol.Ml_ori
-    | Some "sl-opt" -> Protocol.Sl_opt
-    | Some "sl-ori" -> Protocol.Sl_ori
-    | Some _ -> raise Slow
-  in
-  Option.iter positive !fixed_n;
-  let delta = Option.value !delta ~default:Protocol.default_delta in
-  positive delta;
-  (* Scales outside the speedup's positive range are the tree's to
-     refuse, with its message. *)
-  let in_range problem n =
-    if not (Protocol.scale_in_range problem.Optimizer.speedup n) then raise Slow
-  in
+  let seen = !seen and solution = !solution and delta = !delta in
+  let fixed_n = if has seen fixed_n_bit then Some !fixed_n else None in
   let query problem =
-    Option.iter (in_range problem) !fixed_n;
-    { Protocol.problem; solution; fixed_n = !fixed_n; delta }
+    Option.iter (in_range problem) fixed_n;
+    { Protocol.problem; solution; fixed_n; delta }
   in
-  let request =
-    match required !op with
-    | "plan" ->
-        if Option.is_some !problems || Option.is_some !param || Option.is_some !values
-        then raise Slow;
-        Protocol.Plan (query (required !problem))
-    | "batch-plan" ->
-        if Option.is_some !problem || Option.is_some !param || Option.is_some !values
-        then raise Slow;
-        Protocol.Batch_plan { queries = Array.map query (required !problems) }
-    | "sweep" ->
-        if Option.is_some !problems then raise Slow;
-        let param =
-          match required !param with
-          | "scale" | "fixed_n" -> Protocol.Scale
-          | "te" -> Protocol.Te
-          | "alloc" -> Protocol.Alloc
-          | _ -> raise Slow
-        in
-        let values = required !values in
-        if Array.length values = 0 then raise Slow;
-        Array.iter (fun v -> if not (v > 0. && Float.is_finite v) then raise Slow) values;
-        let base = query (required !problem) in
-        if param = Protocol.Scale then Array.iter (in_range base.Protocol.problem) values;
-        Protocol.Sweep { base; param; values }
-    | _ -> raise Slow
-  in
-  { Protocol.id = !id; op = !op; request = Ok request }
+  let op = !op in
+  if op = plan_op then begin
+    if (not (has seen problem_bit)) || has seen problems_bit || has seen param_bit
+       || has seen values_bit
+    then raise Slow;
+    { Protocol.id = !id; op = some_plan; request = Ok (Protocol.Plan (query !problem)) }
+  end
+  else if op = batch_op then begin
+    (* An empty batch is the tree's to refuse, with its message. *)
+    if (not (has seen problems_bit)) || has seen problem_bit || has seen param_bit
+       || has seen values_bit || Array.length !problems = 0
+    then raise Slow;
+    { Protocol.id = !id;
+      op = some_batch;
+      request = Ok (Protocol.Batch_plan { queries = Array.map query !problems }) }
+  end
+  else if op = sweep_op then begin
+    if (not (has seen problem_bit && has seen param_bit && has seen values_bit))
+       || has seen problems_bit
+    then raise Slow;
+    let values = !values in
+    if Array.length values = 0 then raise Slow;
+    Array.iter (fun v -> if not (v > 0. && Float.is_finite v) then raise Slow) values;
+    let base = query !problem in
+    if !param = Protocol.Scale then Array.iter (in_range base.Protocol.problem) values;
+    { Protocol.id = !id;
+      op = some_sweep;
+      request = Ok (Protocol.Sweep { base; param = !param; values }) }
+  end
+  else raise Slow
 
 let parse_request line =
-  match scan_request { s = line; pos = 0 } with
+  match scan_request { s = line; pos = 0; span = 0; span_len = 0 } with
   | envelope -> envelope
   | exception _ -> Protocol.parse_request line
 

@@ -7,15 +7,18 @@
     non-solver allocation profile.  This module removes both:
 
     {ul
-    {- {!parse_request} scans the raw line with a recursive-descent
-       lexer that builds {!Protocol.query} values directly.  It accepts
-       a strict subset of the tree grammar — no escape sequences, no
-       unknown or duplicate fields, scalar ids — and falls back to
-       {!Protocol.parse_request} on any deviation or validation failure,
-       so its observable behaviour is exactly the tree parser's.
-       Numbers are converted by [float_of_string] over the same
-       character span the tree lexer consumes: every float is
-       bit-identical to the tree path.}
+    {- {!parse_request} scans the raw line and builds
+       {!Protocol.query} values directly, allocating only what it
+       returns: each object is read in a loop into local slots, keys and
+       enum strings are compared in place, and an [op] naming any other
+       op stops the scan where it stands.  It accepts a strict subset of
+       the tree grammar — no escape sequences, no unknown or duplicate
+       fields, scalar ids — and falls back to {!Protocol.parse_request}
+       on any deviation or validation failure, so its observable
+       behaviour is exactly the tree parser's.  Numbers are read by
+       {!Ckpt_json.Float_digits.read} over the same character span the
+       tree lexer consumes, as the tree lexer reads them: every float
+       is bit-identical to the tree path, and to [float_of_string].}
     {- The [write_*] encoders stream responses into a caller-supplied
        (reusable) [Buffer.t], byte-identical to
        [Json.to_string (Protocol.*_response ...)].}} *)

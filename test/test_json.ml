@@ -62,6 +62,80 @@ let test_parse_error_position () =
       Alcotest.(check bool) "position points into the input" true (position >= 3 && position <= 6)
   | _ -> Alcotest.fail "expected error"
 
+(* Parse errors reach clients inside [parse] errors, so their positions
+   and messages are part of the protocol: these are the ones the lexer
+   gave before it stopped allocating per character. *)
+let parse_errors =
+  [
+    ("", Some (0, "unexpected end of input"));
+    ("{", Some (1, "expected '\"', found end of input"));
+    ("[", Some (1, "unexpected end of input"));
+    ("[1,", Some (3, "unexpected end of input"));
+    ("[1 2]", Some (3, "expected ',' or ']'"));
+    ("{\"a\"}", Some (4, "expected ':', found '}'"));
+    ("{\"a\":}", Some (5, "unexpected character '}'"));
+    ("nul", Some (0, "invalid literal (expected null)"));
+    ("tru", Some (0, "invalid literal (expected true)"));
+    ("\"unterminated", Some (13, "unterminated string"));
+    ("\"bad \\x escape\"", Some (7, "invalid escape \\'x'"));
+    ("01a", Some (2, "trailing characters"));
+    ("[1],", Some (3, "trailing characters"));
+    ("{\"a\":1,}", Some (7, "expected '\"', found '}'"));
+    ("\"\\ud800\"", Some (7, "expected '\\\\', found '\"'"));
+    ("[1, oops]", Some (4, "unexpected character 'o'"));
+    ("\"\\u12\"", Some (3, "truncated \\u escape"));
+    ("\"\\u12g4\"", Some (7, "invalid \\u escape \"12g4\""));
+    ("\"\\ud800\\u0041\"", Some (13, "invalid surrogate pair"));
+    ("\"\\ud800x\"", Some (7, "expected '\\\\', found 'x'"));
+    ("\"abc\\", Some (5, "unterminated escape"));
+    ("{\"a\" 1}", Some (5, "expected ':', found '1'"));
+    ("{1:2}", Some (1, "expected '\"', found '1'"));
+    ("-", Some (1, "invalid number \"-\""));
+    ("1e", Some (2, "invalid number \"1e\""));
+    ("--1", Some (3, "invalid number \"--1\""));
+    ("[-]", Some (2, "invalid number \"-\""));
+    ("{\"k\":\"v\"", Some (8, "expected ',' or '}'"));
+    ("[1,]", Some (3, "unexpected character ']'"));
+    ("\000", Some (0, "unexpected character '\\000'"));
+    ("[\"a\",\"b\\", Some (8, "unterminated escape"));
+    ("tr", Some (0, "invalid literal (expected true)"));
+    ("truex", Some (4, "trailing characters"));
+    ("[[[", Some (3, "unexpected end of input"));
+    ("\"\\u00e9\"x", Some (8, "trailing characters"));
+    ("1 2", Some (2, "trailing characters"));
+    ("  ", Some (2, "unexpected end of input"));
+    ("{\"a\":[1,2,{\"b\":nul}]}", Some (15, "invalid literal (expected null)"));
+    ("1.2.3", Some (5, "invalid number \"1.2.3\""));
+    ("+1", Some (0, "unexpected character '+'"));
+    (".5", Some (0, "unexpected character '.'"));
+    ("[1.5e+]", Some (6, "invalid number \"1.5e+\""));
+    ("\"\\", Some (2, "unterminated escape"));
+    ("\"\\q\"", Some (3, "invalid escape \\'q'"));
+    ("\"\\u\"", Some (3, "truncated \\u escape"));
+    ("\"\\ud834\\udd1e", Some (13, "unterminated string"));
+    ("{\"a\":1 \"b\":2}", Some (7, "expected ',' or '}'"));
+    ("{\"a\":1,\"b\"}", Some (10, "expected ':', found '}'"));
+    ("[1e999,1e-400,-0,00012]x", Some (23, "trailing characters"));
+    ("{\"\\u0041\":falsy}", Some (10, "invalid literal (expected false)"));
+    ("\"\\ud834\\udd1e\" ]", Some (15, "trailing characters"));
+    (String.make 513 '[', Some (512, "nesting too deep"));
+    ("[" ^ String.make 600 ' ' ^ "1,]", Some (603, "unexpected character ']'"));
+    ("{\"op\":\"plan\",\"problem\":{\"te\":1e}}", Some (31, "invalid number \"1e\""))
+  ]
+
+let test_parse_error_messages () =
+  List.iter
+    (fun (input, want) ->
+      let got =
+        match Json.parse input with
+        | _ -> None
+        | exception Json.Parse_error { position; message } -> Some (position, message)
+      in
+      Alcotest.(check (option (pair int string)))
+        (Printf.sprintf "error for %S" (String.sub input 0 (min 40 (String.length input))))
+        want got)
+    parse_errors
+
 (* ---------------- printing ---------------- *)
 
 let test_print_compact () =
@@ -439,6 +513,297 @@ let test_served_floats_proved () =
   ignore (Fingerprint.float_repr ~precision:Fingerprint.default_precision 1e-9);
   Alcotest.(check int) "key floats through libc" 0 (Float_digits.fallbacks () - before)
 
+(* ---------------- reading: [Float_digits.read] against [float_of_string] ---------------- *)
+
+(* Exact decimal digits of the midpoint between a positive normal double
+   and its successor, (2 mant + 1) 2^(e2 - 1) for x = mant 2^e2: an
+   integer in base-10^9 limbs (least significant first) and the power of
+   ten it is scaled by. *)
+let midpoint_digits x =
+  let mant = Int64.to_int (Int64.logand (Int64.bits_of_float x) 0x000f_ffff_ffff_ffffL) in
+  let biased = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 52) land 0x7ff in
+  let mant = mant lor (1 lsl 52) and e2 = biased - 1075 - 1 in
+  let limbs = ref [| (2 * mant) + 1 |] in
+  let mul k =
+    let carry = ref 0 in
+    let out =
+      Array.map
+        (fun l ->
+          let v = (l * k) + !carry in
+          carry := v / 1_000_000_000;
+          v mod 1_000_000_000)
+        !limbs
+    in
+    let rest = ref [] in
+    while !carry > 0 do
+      rest := (!carry mod 1_000_000_000) :: !rest;
+      carry := !carry / 1_000_000_000
+    done;
+    limbs := Array.append out (Array.of_list (List.rev !rest))
+  in
+  (* Normalise the first limb, which may exceed 10^9. *)
+  mul 1;
+  let rec times base per count =
+    if count > 0 then begin
+      let k = min per count in
+      mul (int_of_float (float_of_int base ** float_of_int k));
+      times base per (count - k)
+    end
+  in
+  if e2 >= 0 then (times 2 30 e2; (!limbs, 0))
+  else (times 5 13 (-e2); (!limbs, e2))
+
+let digit_string (limbs, _) =
+  let n = Array.length limbs in
+  String.concat ""
+    (Printf.sprintf "%d" limbs.(n - 1)
+     :: List.init (n - 1) (fun i -> Printf.sprintf "%09d" limbs.(n - 2 - i)))
+
+(* The midpoint above [x] cut to [n] significant digits, and the same
+   digits with their last one stepped by -1 and +1, as "d.ddd...e+k". *)
+let midpoint_spans x n =
+  let ((_, pow) as digits) = midpoint_digits x in
+  let all = digit_string digits in
+  let n = min n (String.length all) in
+  let cut = String.sub all 0 n in
+  let k = String.length all - 1 + pow in
+  let render d = Printf.sprintf "%c.%se%d" d.[0] (String.sub d 1 (String.length d - 1)) k in
+  let step by =
+    (* Decimal +-1 on the last digit, carrying; None where it would
+       change the digit count. *)
+    let b = Bytes.of_string cut in
+    let rec go i =
+      if i < 0 then false
+      else
+        let c = Char.code (Bytes.get b i) - 48 + by in
+        if c < 0 then (Bytes.set b i '9'; go (i - 1))
+        else if c > 9 then (Bytes.set b i '0'; go (i - 1))
+        else (Bytes.set b i (Char.chr (48 + c)); true)
+    in
+    if go (n - 1) && Bytes.get b 0 <> '0' then Some (render (Bytes.to_string b)) else None
+  in
+  render cut :: List.filter_map Fun.id [ step (-1); step 1 ]
+
+(* At least 10^6 spans: [%.17g], [%.12g] and [%.8e] renderings of
+   log-uniform and bit-pattern doubles; the midpoints between adjacent
+   doubles cut to 17-25 digits with +-1 in the last; exact ties written
+   in 17-19 digits; 16-19-digit significands at exponents -23, -22, 22
+   and 23; subnormals, [max_float] and hand-picked spellings. *)
+let read_spans () =
+  let rng = Random.State.make [| 1990 |] in
+  let renderings f =
+    [ Printf.sprintf "%.17g" f; Printf.sprintf "%.12g" f; Printf.sprintf "%.8e" f ]
+  in
+  let log_uniform =
+    List.concat
+      (List.init 150_000 (fun _ ->
+           let f = 10. ** ((80. *. Random.State.float rng 1.) -. 40.) in
+           renderings (if Random.State.bool rng then -.f else f)))
+  in
+  let bits =
+    List.concat
+      (List.init 100_000 (fun _ -> renderings (Int64.float_of_bits (Random.State.bits64 rng))))
+  in
+  let midpoints =
+    List.concat
+      (List.init 20_000 (fun _ ->
+           let x = 10. ** ((60. *. Random.State.float rng 1.) -. 30.) in
+           List.concat_map (midpoint_spans x) (List.init 9 (fun i -> 17 + i))))
+  in
+  let long_significands =
+    List.init 60_000 (fun i ->
+        let digits = 16 + Random.State.int rng 4 in
+        let m =
+          String.init digits (fun j ->
+              if j = 0 then Char.chr (49 + Random.State.int rng 9)
+              else Char.chr (48 + Random.State.int rng 10))
+        in
+        Printf.sprintf "%s%se%d" (if i land 1 = 0 then "" else "-") m
+          (List.nth [ -23; -22; 22; 23 ] (Random.State.int rng 4)))
+  in
+  let subnormals =
+    List.concat
+      (List.init 5_000 (fun _ ->
+           renderings
+             (Int64.float_of_bits
+                (Int64.logand (Random.State.bits64 rng) 0x000f_ffff_ffff_ffffL))))
+  in
+  let specials =
+    [ "00012"; "-0"; "1."; "-.5"; "1E+05"; "1e999"; "1e-400"; "0e999999999999"; "0.000";
+      "+7"; "9007199254740993"; "9007199254740992"; "9007199254740991";
+      "4611686018427387904"; "4611686018427387903"; "9999999999999999999";
+      "1.7976931348623157e308"; "1.7976931348623159e308"; "2.2250738585072014e-308";
+      "4.9406564584124654e-324"; "1e22"; "1e23"; "1e37"; "1e-22"; "1e-23";
+      "123456789012345678901234567890"; "0.1"; "1.00000000000000000000000001" ]
+    @ renderings Float.max_float @ renderings Float.min_float
+    (* 2^53 + 1, the first significand past the one-operation path, at
+       every exponent it takes: rounding it to a double first would
+       round twice. *)
+    @ List.init 45 (fun k -> Printf.sprintf "9007199254740993e%d" (k - 22))
+  in
+  (* Exact ties m 10^e with 2^53 < m <= max_int: for an odd o with
+     o 5^e in [2^53, 2^54) and m = o 2^j, m 10^e = (o 5^e) 2^(j+e) is an
+     odd multiple of half the gap between the doubles around it.  Below
+     e = 0 the same holds for m = 5^k o 2^j with a 54-bit odd o, which
+     fits m only for k <= 3.  A shifted m that reads back is in range. *)
+  let ties : string list =
+    let rec pow5 k = if k = 0 then 1 else 5 * pow5 (k - 1) in
+    let odd lo hi = (lo + Random.State.full_int rng (hi - lo)) lor 1 in
+    List.concat
+      (List.init 22 (fun i ->
+           let e = i + 1 in
+           let p5 = pow5 e in
+           let lo = ((1 lsl 53) + p5 - 1) / p5 and hi = (1 lsl 54) / p5 in
+           List.concat
+             (List.init 2_000 (fun _ ->
+                  let o = odd lo hi in
+                  let o = if o * p5 >= 1 lsl 54 then o - 2 else o in
+                  List.filter_map
+                    (fun j ->
+                      let m = o lsl j in
+                      if m > 1 lsl 53 && m asr j = o then
+                        Some (Printf.sprintf "%de%d" m e)
+                      else None)
+                    (List.init 62 Fun.id)))))
+    @ List.concat
+        (List.init 3 (fun i ->
+             let k = i + 1 in
+             List.concat
+               (List.init 2_000 (fun _ ->
+                    let o = odd (1 lsl 53) (1 lsl 54) in
+                    List.filter_map
+                      (fun j ->
+                        let m = (o * pow5 k) lsl j in
+                        if m > 0 && m asr j = o * pow5 k then
+                          Some (Printf.sprintf "%de-%d" m k)
+                        else None)
+                      [ 0; 1; 2 ]))))
+  in
+  specials @ ties @ log_uniform @ bits @ midpoints @ long_significands @ subnormals
+
+let read_string s = Float_digits.read s 0 (String.length s)
+
+let test_read_oracle () =
+  let spans = read_spans () in
+  Alcotest.(check bool) "at least 10^6 spans" true (List.length spans >= 1_000_000);
+  let mismatches = ref 0 and first = ref None in
+  List.iter
+    (fun s ->
+      let want = float_of_string_opt s in
+      let got = match read_string s with f -> Some f | exception Failure _ -> None in
+      let same =
+        match (want, got) with
+        | Some a, Some b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+        | None, None -> true
+        | _ -> false
+      in
+      if not same then begin
+        incr mismatches;
+        if !first = None then first := Some s
+      end)
+    spans;
+  (match !first with
+   | None -> ()
+   | Some s ->
+       Alcotest.failf "%d of %d spans read other than float_of_string, first %S (%s vs %s)"
+         !mismatches (List.length spans) s
+         (match float_of_string_opt s with Some f -> Printf.sprintf "%h" f | None -> "refused")
+         (match read_string s with f -> Printf.sprintf "%h" f | exception Failure _ -> "refused"));
+  (* Mid-string spans read only their own bytes. *)
+  let s = "[12.5e1,-0.25]" in
+  Alcotest.(check (float 0.)) "a span inside a line" 125. (Float_digits.read s 1 7);
+  Alcotest.(check (float 0.)) "the next span" (-0.25) (Float_digits.read s 8 13);
+  Alcotest.(check bool) "-0 is negative zero" true
+    (Int64.equal (Int64.bits_of_float (read_string "-0")) (Int64.bits_of_float (-0.)))
+
+let test_read_refusals () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "float_of_string refuses %S" s) true
+        (float_of_string_opt s = None);
+      match read_string s with
+      | f -> Alcotest.failf "read %S gave %h" s f
+      | exception Failure m -> Alcotest.(check string) "the same failure" "float_of_string" m)
+    [ "-"; "--1"; "1e"; "1e+"; "1.2.3"; ""; "."; "-."; "e5"; ".e5"; "+-1"; "1-"; "1e5.5";
+      "1e-"; "1ee5"; "1.5.e3" ];
+  (* Characters beyond the decimal grammar go to strtod, as
+     [float_of_string] would take them. *)
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "%S as float_of_string reads it" s) true
+        (match (float_of_string_opt s, read_string s) with
+         | Some a, b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+         | None, _ -> false
+         | exception Failure _ -> float_of_string_opt s = None))
+    [ "1_000.5"; "0x1p3"; "-inf"; "nan"; " 1.5"; "_5"; "1e_5" ]
+
+(* The numbers of a JSON text, as the tree lexer cuts them. *)
+let number_spans text =
+  let spans = ref [] and i = ref 0 in
+  let n = String.length text in
+  while !i < n do
+    match text.[!i] with
+    | '"' ->
+        incr i;
+        while text.[!i] <> '"' do
+          if text.[!i] = '\\' then incr i;
+          incr i
+        done;
+        incr i
+    | '-' | '0' .. '9' ->
+        let start = !i in
+        while
+          !i < n
+          && match text.[!i] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+        do
+          incr i
+        done;
+        spans := (start, !i) :: !spans
+    | _ -> incr i
+  done;
+  List.rev !spans
+
+let test_served_numbers_read () =
+  let plans = table2_plans () in
+  let rng = Random.State.make [| 1000 |] in
+  let problems =
+    List.init 6 (fun i -> Paper_data.eval_problem ~te_core_days:3e6 ~case:(List.nth Paper_data.cases i) ())
+    @ List.init 1_000 (fun _ -> draw_free_problem rng)
+  in
+  let buf = Buffer.create 1024 in
+  let texts =
+    List.map
+      (fun plan ->
+        Buffer.clear buf;
+        Codec.write_plan buf plan;
+        Buffer.contents buf)
+      plans
+    @ List.map (fun p -> Json.to_string (Codec.problem_to_json p)) problems
+  in
+  let spans = List.concat_map (fun t -> List.map (fun sp -> (t, sp)) (number_spans t)) texts in
+  Alcotest.(check bool) "thousands of served numbers" true (List.length spans > 20_000);
+  let before = Float_digits.fallbacks () in
+  let differ =
+    List.filter
+      (fun (t, (a, b)) ->
+        not
+          (Int64.equal
+             (Int64.bits_of_float (Float_digits.read t a b))
+             (Int64.bits_of_float (float_of_string (String.sub t a (b - a))))))
+      spans
+  in
+  (* [float_of_string] above is not counted: only [read]'s strtod is. *)
+  Alcotest.(check int) "served numbers through strtod" 0 (Float_digits.fallbacks () - before);
+  Alcotest.(check int) "served numbers read as float_of_string reads them" 0 (List.length differ);
+  let before = Float_digits.fallbacks () in
+  List.iter (fun t -> ignore (Json.parse t)) texts;
+  Alcotest.(check int) "the tree parser reads them without strtod" 0
+    (Float_digits.fallbacks () - before);
+  (* The counter is live: a 20-digit significand goes to strtod, once. *)
+  let before = Float_digits.fallbacks () in
+  ignore (read_string "12345678901234567891");
+  Alcotest.(check int) "a hard span takes strtod" 1 (Float_digits.fallbacks () - before)
+
 (* ---------------- accessors ---------------- *)
 
 let test_accessors () =
@@ -516,7 +881,8 @@ let () =
           Alcotest.test_case "whitespace" `Quick test_parse_whitespace;
           Alcotest.test_case "escapes" `Quick test_parse_escapes;
           Alcotest.test_case "errors" `Quick test_parse_errors;
-          Alcotest.test_case "error position" `Quick test_parse_error_position ] );
+          Alcotest.test_case "error position" `Quick test_parse_error_position;
+          Alcotest.test_case "error positions and messages" `Quick test_parse_error_messages ] );
       ( "print",
         [ Alcotest.test_case "compact" `Quick test_print_compact;
           Alcotest.test_case "pretty reparses" `Quick test_print_pretty_reparses;
@@ -528,6 +894,10 @@ let () =
           Alcotest.test_case "digits at the proof's edges" `Quick test_digits_oracle;
           Alcotest.test_case "served floats proved" `Quick test_served_floats_proved;
           Alcotest.test_case "add_json compact" `Quick test_add_json_compact ] );
+      ( "reading",
+        [ Alcotest.test_case "float_of_string oracle" `Quick test_read_oracle;
+          Alcotest.test_case "refusals" `Quick test_read_refusals;
+          Alcotest.test_case "served numbers read in OCaml" `Quick test_served_numbers_read ] );
       ( "accessors",
         [ Alcotest.test_case "fields" `Quick test_accessors;
           Alcotest.test_case "float arrays" `Quick test_float_array;

@@ -80,7 +80,7 @@ let test_speedup_derivatives_numeric () =
   List.iter
     (fun s ->
       Alcotest.(check bool)
-        (Printf.sprintf "analytic = numeric for %s" s.Speedup.name)
+        (Printf.sprintf "analytic = numeric for %s" (Speedup.name s))
         true
         (Scale_fn.check_derivative s.Speedup.law))
     [ Speedup.linear ~kappa:0.3;

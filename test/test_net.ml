@@ -166,7 +166,12 @@ let test_crc32_vectors () =
     (Crc32.string "456")
     (Crc32.sub "123456789" ~pos:3 ~len:3);
   Alcotest.(check bool) "one bit changes the sum" false
-    (Crc32.string "hello world" = Crc32.string "hello worle")
+    (Crc32.string "hello world" = Crc32.string "hello worle");
+  Alcotest.(check (option int)) "of_hex reads %08x" (Some 0xCBF43926)
+    (Crc32.of_hex (Printf.sprintf "%08x" 0xCBF43926));
+  List.iter
+    (fun s -> Alcotest.(check (option int)) ("of_hex refuses " ^ s) None (Crc32.of_hex s))
+    [ "CBF43926"; "cbf4392"; "cbf439260"; "0_f43926"; "+bf43926"; "" ]
 
 (* ---------------- gate ---------------- *)
 
@@ -334,6 +339,26 @@ let test_snapshot_corruption =
       (* The CRC (payload) and header checks (framing) catch every
          single-byte change. *)
       Result.is_error (Snapshot.decode mutated))
+
+(* The random property above lands in the short header only rarely, so
+   every single-byte change to it is tried here: none may decode, not even
+   an upper-cased digit of the hex checksum. *)
+let test_snapshot_header_corruption () =
+  let image = Lazy.force sample_image in
+  let header_end = String.index image '\n' in
+  for pos = 0 to header_end do
+    for byte = 0 to 255 do
+      if image.[pos] <> Char.chr byte then begin
+        let b = Bytes.of_string image in
+        Bytes.set b pos (Char.chr byte);
+        let mutated = Bytes.to_string b in
+        ignore (decode_never_raises mutated);
+        if Result.is_ok (Snapshot.decode mutated) then
+          Alcotest.failf "header byte %d changed %C -> %C still decodes" pos image.[pos]
+            (Char.chr byte)
+      end
+    done
+  done
 
 let test_snapshot_future_version () =
   let image = Lazy.force sample_image in
@@ -949,7 +974,8 @@ let () =
           Alcotest.test_case "future-version" `Quick test_snapshot_future_version;
           qc test_snapshot_garbage_fuzz;
           Alcotest.test_case "files-rotate-fall-back" `Quick
-            test_snapshot_files_rotate_and_fall_back ] );
+            test_snapshot_files_rotate_and_fall_back;
+          Alcotest.test_case "header-corruption" `Quick test_snapshot_header_corruption ] );
       ( "server",
         [ Alcotest.test_case "loopback-byte-identical" `Quick
             test_loopback_byte_identical_to_stdin_path;

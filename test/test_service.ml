@@ -108,7 +108,7 @@ module Printf_fingerprint = struct
         Printf.sprintf "amdahl,s=%s,peak=%s" (f serial_fraction) (f peak)
     | Speedup.Gustafson { serial_fraction; peak } ->
         Printf.sprintf "gustafson,s=%s,peak=%s" (f serial_fraction) (f peak)
-    | Speedup.Custom -> assert false
+    | Speedup.Custom _ -> assert false
 
   let overhead_repr ~f (o : Overhead.t) =
     Printf.sprintf "eps=%s,alpha=%s,h=%s" (f o.Overhead.eps) (f o.Overhead.alpha)
@@ -762,6 +762,45 @@ let test_service_error_isolation () =
         (Metrics.snapshot (Service.metrics service)).Metrics.errors
   | _ -> Alcotest.fail "expected two responses"
 
+(* A handler that raises answers its own line [internal], with the bytes
+   the socket server sends for it, and the batch's other lines are still
+   answered: through the tree renderer and the streamed one, for a
+   raising stats extra and a raising persist hook. *)
+let test_service_handler_raises () =
+  let plan id = Printf.sprintf {|{"id":%d,"op":"plan","fixed_n":2e4,"problem":%s}|} id
+      (problem_json base_problem) in
+  let observe =
+    {|{"id":2,"op":"observe","events":[{"t":0,"ev":"start","scale":1000,"levels":4}]}|}
+  in
+  let boom = Failure "boom" in
+  let internal = Json.to_string (Service.internal_response ~id:(Json.Number 2.) boom) in
+  Alcotest.(check string) "the internal answer"
+    {|{"id":2,"ok":false,"error":{"code":"internal","message":"Failure(\"boom\")"}}|} internal;
+  List.iter
+    (fun (what, middle, install) ->
+      List.iter
+        (fun (renderer, render) ->
+          let service = Service.create ~workers:0 () in
+          Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+          install service;
+          match render service [ plan 1; middle; plan 3 ] with
+          | [ first; second; third ] ->
+              let label = Printf.sprintf "%s, %s" what renderer in
+              Alcotest.(check string) (label ^ ": middle line internal") internal second;
+              Alcotest.(check bool) (label ^ ": first line answered") true
+                (Protocol.response_ok (Json.parse first));
+              Alcotest.(check bool) (label ^ ": third line answered") true
+                (Protocol.response_ok (Json.parse third))
+          | rs -> Alcotest.failf "%s: %d responses for 3 lines" what (List.length rs))
+        [ ("tree", fun s lines -> List.map Json.to_string (Service.handle_batch s lines));
+          ("streamed", Service.handle_batch_lines) ])
+    [ ( "raising stats extra",
+        {|{"id":2,"op":"stats"}|},
+        fun s -> Service.set_stats_extra s (Some (fun () -> raise boom)) );
+      ( "raising persist hook",
+        observe,
+        fun s -> Service.set_persist_hook s (Some (fun _ -> raise boom)) ) ]
+
 (* Acceptance: on hardware with cores to spare, a 4-worker pool must
    answer a large all-miss batch faster than 1 worker.  On a single-core
    machine (this is checked, not assumed) domains cannot run in
@@ -827,6 +866,12 @@ let wire_request_eq a b =
   | ( Protocol.Sweep { base = ba; param = pa; values = va },
       Protocol.Sweep { base = bb; param = pb; values = vb } ) ->
       wire_query_eq ba bb && pa = pb && va = vb
+  | ( Protocol.Replan { query = qa; prior_strength = pa },
+      Protocol.Replan { query = qb; prior_strength = pb } ) ->
+      wire_query_eq qa qb && pa = pb
+  | ( Protocol.Simulate_validate { query = qa; replications = ra; seed = sa },
+      Protocol.Simulate_validate { query = qb; replications = rb; seed = sb } ) ->
+      wire_query_eq qa qb && ra = rb && sa = sb
   | _ -> a = b
 
 let wire_envelope_eq (a : Protocol.envelope) (b : Protocol.envelope) =
@@ -853,6 +898,11 @@ let test_wire_parse_equivalence () =
       Printf.sprintf {|{"id":null,"op":"sweep","param":"te","values":[8.64e8],"problem":%s}|} pj;
       (* Tree-only shapes: the scanner must fall back, not diverge. *)
       Printf.sprintf {|{"op":"plan","note":"extra field","problem":%s}|} pj;
+      (* Other ops stop the scan at their op, wherever it comes. *)
+      Printf.sprintf {|{"id":3,"op":"replan","problem":%s,"prior_strength":1e10}|} pj;
+      Printf.sprintf {|{"problem":%s,"op":"simulate-validate","replications":2}|} pj;
+      {|{"id":4,"op":"estimate","baseline_scale":1e6,"coverage":0.95}|};
+      Printf.sprintf {|{"op":"plan","problem":%s,"op":"replan"}|} pj;
       Printf.sprintf {|{"id":"esc\"aped","op":"plan","problem":%s}|} pj;
       Printf.sprintf {|{"id":[1,2],"op":"plan","problem":%s}|} pj;
       Printf.sprintf {|{"op":"plan","fixed_n":-3,"problem":%s}|} pj;
@@ -1173,5 +1223,7 @@ let () =
          Alcotest.test_case "stats: solver work and cache evictions" `Quick
            test_service_stats_solver_work_and_evictions;
          Alcotest.test_case "cache capacities 1, 4 and 7 serve" `Quick
-           test_service_small_cache_capacities ]);
+           test_service_small_cache_capacities;
+         Alcotest.test_case "a raising handler answers its line internal" `Quick
+           test_service_handler_raises ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]

@@ -2,12 +2,16 @@
 
    A live server (WAL + snapshots on) takes an observe-heavy stateful
    load over TCP; after a deterministic number of acked requests it is
-   killed with SIGKILL mid-load, restarted on the same directories, and
-   fed the rest of the load plus estimate/replan probes.  Every
-   post-restart response must be byte-identical to an in-process oracle
-   service that processed the whole load without ever dying — i.e. the
-   acked prefix was fully recovered — and the restarted server's stats
-   must report a real WAL replay.
+   killed with SIGKILL mid-load.  Half a WAL frame is then appended to
+   the newest segment, which is what a kill mid-append leaves behind.
+   A second life on the same directories acks a few more ops — fewer
+   than the snapshot interval, so no cut retires the torn segment — and
+   is killed too.  A third life is fed the rest of the load plus
+   estimate/replan probes.  Every response after a restart must be
+   byte-identical to an in-process oracle service that processed the
+   whole load without ever dying — i.e. every op acked in either life
+   was recovered — and the third life's stats must report a real WAL
+   replay.
 
    Usage:  crash_smoke.exe PATH/TO/ckpt_serve.exe [--ops N] [--kill-after K]
 
@@ -68,12 +72,56 @@ let probe_lines =
 
 (* ---------------- process + socket plumbing ---------------- *)
 
+let snapshot_interval = 7
+
+(* Ops the second life acks: fewer than [snapshot_interval], so no cut
+   retires the torn segment before the second kill. *)
+let second_life = 4
+
+(* The live server, if any: killed at exit, so a failed check leaves
+   no server behind. *)
+let live = ref None
+
+let kill_live () =
+  Option.iter
+    (fun pid ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    !live;
+  live := None
+
 let spawn_server ~serve_bin ~port ~wal_dir ~snapshot_dir =
-  Unix.create_process serve_bin
-    [| serve_bin; "--listen"; Printf.sprintf "127.0.0.1:%d" port;
-       "--wal-dir"; wal_dir; "--snapshot-dir"; snapshot_dir;
-       "--snapshot-interval"; "7"; "--workers"; "0" |]
-    Unix.stdin Unix.stderr Unix.stderr
+  let pid =
+    Unix.create_process serve_bin
+      [| serve_bin; "--listen"; Printf.sprintf "127.0.0.1:%d" port;
+         "--wal-dir"; wal_dir; "--snapshot-dir"; snapshot_dir;
+         "--snapshot-interval"; string_of_int snapshot_interval; "--workers"; "0" |]
+      Unix.stdin Unix.stderr Unix.stderr
+  in
+  live := Some pid;
+  pid
+
+let kill_server pid client =
+  Unix.kill pid Sys.sigkill;
+  ignore (Unix.waitpid [] pid);
+  live := None;
+  try Unix.close (fst client) with Unix.Unix_error _ -> ()
+
+(* Append the first half of the next record's frame to the newest WAL
+   segment: the torn tail a kill between write calls leaves. *)
+let tear_newest_segment ~wal_dir line =
+  match List.rev (Ckpt_net.Disk.list_numbered ~prefix:"wal-" ~suffix:".log" wal_dir) with
+  | [] -> fail "no WAL segment to tear in %s" wal_dir
+  | newest :: _ ->
+      let seq = (Ckpt_net.Wal.load ~dir:wal_dir ()).Ckpt_net.Wal.last_seq + 1 in
+      let frame =
+        Printf.sprintf "W %d %d %08x\n%s\n" seq (String.length line)
+          (Ckpt_net.Crc32.string line) line
+      in
+      let path = Filename.concat wal_dir newest in
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+          Out_channel.output_substring oc frame 0 (String.length frame / 2));
+      Printf.eprintf "crash_smoke: tore %s with half of seq %d's frame\n%!" newest seq
 
 let connect ~port =
   let deadline = Unix.gettimeofday () +. 15. in
@@ -143,8 +191,9 @@ let () =
     | Some p -> fail "no such binary: %s" p
     | None -> fail "usage: crash_smoke.exe PATH/TO/ckpt_serve.exe [--ops N] [--kill-after K]"
   in
-  if !kill_after < 1 || !kill_after >= !ops then
-    fail "--kill-after must be in [1, ops); got %d of %d" !kill_after !ops;
+  if !kill_after < 1 || !kill_after + second_life >= !ops then
+    fail "--kill-after must be in [1, ops - %d); got %d of %d" second_life !kill_after !ops;
+  let resume = !kill_after + second_life in
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ckpt-crash-smoke-%d" (Unix.getpid ()))
@@ -154,8 +203,10 @@ let () =
   if Sys.file_exists root then rm root;
   Unix.mkdir root 0o755;
   let port = 40_000 + (Unix.getpid () mod 20_000) in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists root then rm root)
-  @@ fun () ->
+  (* [fail] exits: clean up at exit rather than on unwinding. *)
+  at_exit (fun () ->
+      kill_live ();
+      if Sys.file_exists root then rm root);
   (* Life 1: serve the prefix, every response acked, then SIGKILL. *)
   let pid = spawn_server ~serve_bin ~port ~wal_dir ~snapshot_dir in
   let client = connect ~port in
@@ -163,13 +214,12 @@ let () =
     let r = ask client (load_line i) in
     if not (ok_response r) then fail "life 1: op %d was refused: %s" i r
   done;
-  Unix.kill pid Sys.sigkill;
-  ignore (Unix.waitpid [] pid);
-  (try Unix.close (fst client) with Unix.Unix_error _ -> ());
+  kill_server pid client;
   Printf.eprintf "crash_smoke: killed pid %d after %d acked ops\n%!" pid !kill_after;
+  tear_newest_segment ~wal_dir (load_line !kill_after);
   (* The oracle never died: a fresh in-process service takes the whole
-     load.  Its responses to the tail (and the probes) are the expected
-     bytes — if the restarted server lost any acked prefix op, its
+     load.  Its responses past the first kill (and to the probes) are
+     the expected bytes — if a restarted server lost any acked op, its
      telemetry counts shift and the comparison fails. *)
   let oracle = Service.create ~workers:0 () in
   let expected =
@@ -179,25 +229,36 @@ let () =
             (fun i -> Service.handle_line_string oracle (load_line i))
             (range 0 !ops)
         in
-        let tail = List.filteri (fun i _ -> i >= !kill_after) all in
         let probes = map_in_order (Service.handle_line_string oracle) probe_lines in
-        tail @ probes)
+        List.filteri (fun i _ -> i >= !kill_after) all @ probes)
   in
-  (* Life 2: same directories, serve the tail + probes. *)
+  let check ~from got =
+    List.iteri
+      (fun i have ->
+        let want = List.nth expected (from + i) in
+        if want <> have then
+          fail "response %d diverged after restart:\n  oracle: %s\n  server: %s" (from + i)
+            want have)
+      got
+  in
+  (* Life 2: same directories, past the torn tail; ack a few ops, then
+     SIGKILL again before any snapshot cut retires the torn segment. *)
+  let pid = spawn_server ~serve_bin ~port ~wal_dir ~snapshot_dir in
+  let client = connect ~port in
+  check ~from:0 (map_in_order (fun i -> ask client (load_line i)) (range !kill_after resume));
+  kill_server pid client;
+  Printf.eprintf "crash_smoke: killed pid %d after %d more acked ops\n%!" pid second_life;
+  (* Life 3: serve the rest + probes. *)
   let pid = spawn_server ~serve_bin ~port ~wal_dir ~snapshot_dir in
   let client = connect ~port in
   let got =
     (* Explicit sequencing: the probes must not reach the server before
        the tail, and (@) gives no evaluation-order guarantee. *)
-    let tail = map_in_order (fun i -> ask client (load_line i)) (range !kill_after !ops) in
+    let tail = map_in_order (fun i -> ask client (load_line i)) (range resume !ops) in
     let probes = map_in_order (ask client) probe_lines in
     tail @ probes
   in
-  List.iteri
-    (fun i (want, have) ->
-      if want <> have then
-        fail "response %d diverged after restart:\n  oracle: %s\n  server: %s" i want have)
-    (List.combine expected got);
+  check ~from:second_life got;
   (* The recovery must have been a real WAL replay, and say so. *)
   let stats =
     ask client (Json.to_string (Json.Obj [ ("op", Json.String "stats") ]))
@@ -212,14 +273,19 @@ let () =
       (match Option.bind (Json.member "wal" d) Json.to_bool with
       | Some true -> ()
       | _ -> fail "stats says the WAL is off");
+      (* No cut ran in the second life, so its acked ops are all WAL. *)
       (match Option.bind (Json.member "replayed" d) Json.to_int with
-      | Some n when n >= 1 ->
+      | Some n when n >= second_life ->
           Printf.eprintf "crash_smoke: restart replayed %d WAL records\n%!" n
-      | Some n -> fail "restart replayed %d records; expected a real replay" n
+      | Some n ->
+          fail "restart replayed %d records; expected at least the second life's %d" n
+            second_life
       | None -> fail "stats durability object has no replayed count"));
   ignore (ask client (Json.to_string (Json.Obj [ ("op", Json.String "shutdown") ])));
   (try Unix.close (fst client) with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid);
+  live := None;
   Printf.printf
-    "crash_smoke: PASS — %d ops, kill -9 after %d, acked prefix fully recovered\n" !ops
-    !kill_after
+    "crash_smoke: PASS — %d ops, kill -9 after %d, torn tail, kill -9 after %d more, \
+     every acked op recovered\n"
+    !ops !kill_after second_life

@@ -350,7 +350,7 @@ let workers =
 let cache_capacity =
   Arg.(value & opt int 4096
        & info [ "cache-capacity" ]
-           ~doc:"Plan cache entries, at least 1, split over up to 8 LRU shards.")
+           ~doc:"Plan cache entries, at least 1; past it the least recently used plan is evicted.")
 
 let precision =
   Arg.(value & opt int Ckpt_service.Fingerprint.default_precision

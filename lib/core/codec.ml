@@ -33,23 +33,34 @@ let speedup_to_json (s : Speedup.t) =
           ("peak", Json.Number peak) ]
   | Speedup.Custom _ -> invalid_arg "Codec.speedup_to_json: custom speedups do not serialize"
 
+(* The speedup constructors assert these ranges as internal guards; a
+   decoded speedup is refused here first, with the field named. *)
+let need_in key ok range json =
+  match need_float key json with
+  | Ok v when not (ok v) ->
+      Error (Printf.sprintf "speedup field %S must be %s, got %g" key range v)
+  | r -> r
+
+let need_positive key json = need_in key (fun v -> v > 0.) "> 0" json
+let need_fraction key json = need_in key (fun v -> v >= 0. && v < 1.) "in [0, 1)" json
+
 let speedup_of_json json =
   let* kind = need_string "kind" json in
   match kind with
   | "linear" ->
-      let* kappa = need_float "kappa" json in
+      let* kappa = need_positive "kappa" json in
       Ok (Speedup.linear ~kappa)
   | "quadratic" ->
-      let* kappa = need_float "kappa" json in
-      let* n_star = need_float "n_star" json in
+      let* kappa = need_positive "kappa" json in
+      let* n_star = need_positive "n_star" json in
       Ok (Speedup.quadratic ~kappa ~n_star)
   | "amdahl" ->
-      let* serial_fraction = need_float "serial_fraction" json in
-      let* peak = need_float "peak" json in
+      let* serial_fraction = need_fraction "serial_fraction" json in
+      let* peak = need_positive "peak" json in
       Ok (Speedup.amdahl ~serial_fraction ~peak)
   | "gustafson" ->
-      let* serial_fraction = need_float "serial_fraction" json in
-      let* peak = need_float "peak" json in
+      let* serial_fraction = need_fraction "serial_fraction" json in
+      let* peak = need_positive "peak" json in
       Ok (Speedup.gustafson ~serial_fraction ~peak)
   | k -> Error (Printf.sprintf "unknown speedup kind %S" k)
 
@@ -131,6 +142,7 @@ let problem_of_json json =
   in
   let* baseline_scale = need_float "baseline_scale" json in
   if Array.length rates <> Array.length levels then Error "rates/levels arity mismatch"
+  else if Array.length levels = 0 then Error "field \"levels\" must list at least one level"
   else
     Ok
       { Optimizer.te; speedup; levels; alloc;

@@ -10,6 +10,9 @@ val speedup_to_json : Speedup.t -> Ckpt_json.Json.t
 (** @raise Invalid_argument on [Custom] speedups. *)
 
 val speedup_of_json : Ckpt_json.Json.t -> (Speedup.t, string) result
+(** [Error] names the field when a parameter is outside its speedup's
+    range: [kappa], [n_star] and [peak] must be positive,
+    [serial_fraction] in \[0, 1). *)
 
 val overhead_to_json : Overhead.t -> Ckpt_json.Json.t
 (** @raise Invalid_argument on custom baseline functions. *)
@@ -18,6 +21,9 @@ val overhead_of_json : Ckpt_json.Json.t -> (Overhead.t, string) result
 
 val problem_to_json : Optimizer.problem -> Ckpt_json.Json.t
 val problem_of_json : Ckpt_json.Json.t -> (Optimizer.problem, string) result
+(** [Error] also for an empty [levels] list.  Failure rates and overhead
+    laws are checked by their constructors, which raise
+    [Invalid_argument]. *)
 
 val plan_to_json : Optimizer.plan -> Ckpt_json.Json.t
 val plan_of_json : Ckpt_json.Json.t -> (Optimizer.plan, string) result

@@ -13,7 +13,6 @@ let linear ~kappa =
     law = Scale_fn.linear ~slope:kappa ();
     n_ideal = None }
 
-(* Assertion failures reach clients, file and line included, in [invalid-problem] errors. *)
 let quadratic ~kappa ~n_star =
   assert (kappa > 0. && n_star > 0.);
   let a = -.kappa /. (2. *. n_star) in

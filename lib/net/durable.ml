@@ -251,8 +251,6 @@ let abort t = Option.iter Wal.abort t.wal
 
 let seq_base (t : t) = t.seq_base
 let restored_plans (t : t) = t.restored_plans
-let replayed (t : t) = t.replayed
-let wal_enabled (t : t) = t.wal <> None
 
 (* ---------------- model-driven tuning ---------------- *)
 

@@ -20,6 +20,8 @@
       {!Ckpt_service.Service.handle_line_string}, in order, with the
       persist hook unset (replay must not re-log) — a torn tail
       truncates the replay at the first bad record;
+    + the log is cut on disk at that record, so what it holds is what
+      was replayed ({!Wal.open_});
     + a fresh WAL segment is opened past every sequence seen, and the
       service's persist/stats hooks are installed.
 
@@ -122,8 +124,6 @@ val seq_base : t -> int
     snapshot numbering continues from here. *)
 
 val restored_plans : t -> int
-val replayed : t -> int
-val wal_enabled : t -> bool
 
 (** {1 Model-driven tuning ([--durability auto])} *)
 

@@ -138,10 +138,6 @@ val connections : t -> int
 
 val draining : t -> bool
 
-val snapshot_now : t -> (string, string) result
-(** Cut a snapshot immediately (requires [snapshot_dir]); takes the
-    coordinator lock, so it serializes with request handling. *)
-
 val stop : t -> unit
 (** Begin a graceful drain; idempotent, returns immediately.
     Async-signal-safe (a single atomic store, no locks taken), so it may

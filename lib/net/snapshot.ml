@@ -2,7 +2,7 @@ module Json = Ckpt_json.Json
 module Codec = Ckpt_model.Codec
 module Service = Ckpt_service.Service
 module Planner = Ckpt_service.Planner
-module Sharded_cache = Ckpt_service.Sharded_cache
+module Lru_cache = Ckpt_service.Lru_cache
 module Rate_estimator = Ckpt_adaptive.Rate_estimator
 module Cost_estimator = Ckpt_adaptive.Cost_estimator
 
@@ -19,15 +19,15 @@ let magic = "CKPTSNAP"
 let of_service ?(wal_seq = 0) ~seq service =
   { seq;
     wal_seq;
-    cache = Sharded_cache.to_list (Planner.cache (Service.planner service));
+    cache = Lru_cache.to_list (Planner.cache (Service.planner service));
     session = Service.session_estimators service }
 
 let install state service =
   let cache = Planner.cache (Service.planner service) in
-  (* Oldest (per-shard LRU tail) first, so the re-added entries end up in
-     the original recency order and capacity pressure evicts the same
-     keys the uninterrupted cache would have. *)
-  List.iter (fun (k, plan) -> Sharded_cache.add cache k plan) (List.rev state.cache);
+  (* Oldest (the LRU tail) first, so the re-added entries end up in the
+     original recency order and capacity pressure evicts the same keys
+     the uninterrupted cache would have. *)
+  List.iter (fun (k, plan) -> Lru_cache.add cache k plan) (List.rev state.cache);
   Option.iter
     (fun (rates, costs) -> Service.restore_session service ~rates ~costs)
     state.session;
@@ -153,47 +153,9 @@ let decode s =
 
 (* ---------------- files ---------------- *)
 
-let snapshot_re name =
-  (* snapshot-<digits>.ckpt *)
-  let prefix = "snapshot-" and suffix = ".ckpt" in
-  let np = String.length prefix and ns = String.length suffix in
-  let n = String.length name in
-  n > np + ns
-  && String.sub name 0 np = prefix
-  && String.sub name (n - ns) ns = suffix
-  && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub name np (n - np - ns))
-
+(* snapshot-<digits>.ckpt, newest (highest seq) first *)
 let list_snapshots dir =
-  match Sys.readdir dir with
-  | entries ->
-      Array.to_list entries
-      |> List.filter snapshot_re
-      |> List.sort (fun a b -> compare b a)  (* newest (highest seq) first *)
-  | exception Sys_error _ -> []
-
-(* The rename makes the snapshot's *contents* durable, but the directory
-   entry itself is not on disk until the directory is fsynced — without
-   this, a crash shortly after save can lose the whole file.  Platforms
-   that cannot fsync a directory fd answer EINVAL/ENOTSUP-style errors,
-   which are benign; anything else (EIO and friends) is a real failure
-   that must reach the health counters, not vanish. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match Unix.fsync fd with
-          | () -> Ok ()
-          | exception Unix.Unix_error ((EINVAL | ENOSYS | EOPNOTSUPP | EBADF), _, _) ->
-              Ok ()
-          | exception Unix.Unix_error (err, _, _) ->
-              Error
-                (Printf.sprintf "directory fsync %s failed: %s" dir
-                   (Unix.error_message err)))
-  | exception Unix.Unix_error ((EINVAL | ENOSYS | EOPNOTSUPP | EACCES), _, _) -> Ok ()
-  | exception Unix.Unix_error (err, _, _) ->
-      Error
-        (Printf.sprintf "directory open %s failed: %s" dir (Unix.error_message err))
+  List.rev (Disk.list_numbered ~prefix:"snapshot-" ~suffix:".ckpt" dir)
 
 let clean_tmp ?(log = fun _ -> ()) ~dir () =
   match Sys.readdir dir with
@@ -219,25 +181,21 @@ let save ?(keep = 4) ?(inject = fun _ -> ()) ~dir state =
     let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
     Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        let bytes = Bytes.of_string image in
-        let len = Bytes.length bytes in
         (* Two halves with an injection point between: a crash here
            leaves a genuinely torn temp file for recovery to ignore. *)
-        let write_range from upto =
-          let off = ref from in
-          while !off < upto do
-            off := !off + Unix.write fd bytes !off (upto - !off)
-          done
-        in
-        write_range 0 (len / 2);
+        let half = String.length image / 2 in
+        Disk.write_all fd image ~len:half;
         inject "snapshot-write";
-        write_range (len / 2) len;
+        Disk.write_all fd image ~pos:half;
         inject "snapshot-fsync";
         Unix.fsync fd);
     inject "snapshot-rename";
     Unix.rename tmp path;
     inject "snapshot-dir-fsync";
-    let* () = fsync_dir dir in
+    (* The rename makes the contents durable, but the directory entry is
+       not on disk until the directory is fsynced: without it a crash
+       shortly after the save can lose the whole file. *)
+    let* () = Disk.fsync_dir dir in
     inject "snapshot-prune";
     (* Prune: everything but the [keep] newest.  Best effort — a file
        that vanishes or resists unlinking never fails the snapshot. *)
@@ -251,17 +209,12 @@ let save ?(keep = 4) ?(inject = fun _ -> ()) ~dir state =
       Error (Printf.sprintf "snapshot write failed: %s %s: %s" fn arg (Unix.error_message err))
   | Sys_error m -> Error ("snapshot write failed: " ^ m)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-      really_input_string ic (in_channel_length ic))
-
 let load_latest ?(log = fun _ -> ()) ~dir () =
   let rec first = function
     | [] -> None
     | name :: rest -> (
         let path = Filename.concat dir name in
-        match decode (read_file path) with
+        match decode (Disk.read_file path) with
         | Ok state -> Some state
         | Error m ->
             log (Printf.sprintf "%s: %s (falling back)" path m);

@@ -5,8 +5,8 @@
     captures the parts of a {!Ckpt_service.Service.t} that are expensive
     or impossible to recompute:
 
-    - the sharded plan cache (every solved plan, in per-shard recency
-      order), and
+    - the plan cache (every resident plan, most recently used first),
+      and
     - the telemetry session's estimator state, including the exposure
       watermarks ([last_at], current scale, weighted and raw histories).
 
@@ -44,8 +44,8 @@ type state = {
           the suffix past it and compaction may retire the segments it
           covers.  [0] in pre-WAL snapshots and WAL-off servers. *)
   cache : (string * Ckpt_model.Optimizer.plan) list;
-      (** plan-cache dump, per-shard MRU first (see
-          {!Ckpt_service.Sharded_cache.to_list}) *)
+      (** plan-cache dump, most recently used first (see
+          {!Ckpt_service.Lru_cache.to_list}) *)
   session :
     (Ckpt_adaptive.Rate_estimator.t * Ckpt_adaptive.Cost_estimator.t) option;
 }

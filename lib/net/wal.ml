@@ -21,27 +21,8 @@ let config ?(fsync_batch = 1) ?(fsync_interval_ms = 50.) ?(segment_bytes = 1 lsl
 
 (* ---------------- segment files ---------------- *)
 
-let segment_re name =
-  let prefix = "wal-" and suffix = ".log" in
-  let np = String.length prefix and ns = String.length suffix in
-  let n = String.length name in
-  n > np + ns
-  && String.sub name 0 np = prefix
-  && String.sub name (n - ns) ns = suffix
-  && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub name np (n - np - ns))
-
-let list_segments dir =
-  match Sys.readdir dir with
-  | entries ->
-      Array.to_list entries |> List.filter segment_re |> List.sort compare
-  | exception Sys_error _ -> []
-
+let list_segments dir = Disk.list_numbered ~prefix:"wal-" ~suffix:".log" dir
 let segment_name seq = Printf.sprintf "wal-%012d.log" seq
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-      really_input_string ic (in_channel_length ic))
 
 (* ---------------- record framing ---------------- *)
 
@@ -50,14 +31,14 @@ let frame ~seq payload =
     (Crc32.string payload) payload
 
 (* Parse one segment's bytes.  Returns the records readable before the
-   first bad/torn record, whether the segment parsed to the end, and how
-   many tail regions were dropped (0 or 1 — parsing stops at the first). *)
-let parse_segment ~after s =
+   first bad/torn record, whether the segment parsed to the end, and the
+   length of the good prefix (where the first bad record starts). *)
+let parse_segment s =
   let total = String.length s in
   let rec walk pos last acc =
-    if pos >= total then (List.rev acc, true, 0)
+    if pos >= total then (List.rev acc, true, total)
     else
-      let bad () = (List.rev acc, false, 1) in
+      let bad () = (List.rev acc, false, pos) in
       match String.index_from_opt s pos '\n' with
       | None -> bad ()
       | Some nl -> (
@@ -73,12 +54,7 @@ let parse_segment ~after s =
                 when len >= 0 && seq > last && nl + 1 + len < total ->
                   if s.[nl + 1 + len] <> '\n' then bad ()
                   else if Crc32.sub s ~pos:(nl + 1) ~len <> crc then bad ()
-                  else
-                    let acc =
-                      if seq > after then (seq, String.sub s (nl + 1) len) :: acc
-                      else acc
-                    in
-                    walk (nl + 2 + len) seq acc
+                  else walk (nl + 2 + len) seq ((seq, String.sub s (nl + 1) len) :: acc)
               | _ -> bad ())
           | _ -> bad ())
   in
@@ -87,33 +63,30 @@ let parse_segment ~after s =
 type seg_info = {
   seg_path : string;
   seg_bytes : int;
-  seg_records : (int * string) list;  (* seqs > after, in order *)
+  seg_records : (int * string) list;  (* in order *)
   seg_last : int;  (* last valid seq in the segment, 0 if none *)
   seg_clean : bool;
+  seg_good : int;  (* bytes before the first bad record *)
 }
 
-let scan_dir ?(log = fun _ -> ()) ?(after = 0) dir =
+let scan_dir ?(log = fun _ -> ()) dir =
   List.map
     (fun name ->
       let path = Filename.concat dir name in
-      match read_file path with
+      match Disk.read_file path with
       | s ->
-          let records, clean, _ = parse_segment ~after s in
-          let seg_last =
-            (* last *valid* seq regardless of [after] filtering *)
-            let all, _, _ = parse_segment ~after:0 s in
-            match List.rev all with [] -> 0 | (seq, _) :: _ -> seq
-          in
+          let records, clean, good = parse_segment s in
+          let seg_last = match List.rev records with [] -> 0 | (seq, _) :: _ -> seq in
           if not clean then
             log (Printf.sprintf "%s: torn or corrupt tail, replaying %d records"
                    path (List.length records));
           { seg_path = path; seg_bytes = String.length s;
-            seg_records = records; seg_last; seg_clean = clean }
+            seg_records = records; seg_last; seg_clean = clean; seg_good = good }
       | exception e ->
           log (Printf.sprintf "%s: unreadable: %s (skipping)" path
                  (Printexc.to_string e));
           { seg_path = path; seg_bytes = 0; seg_records = []; seg_last = 0;
-            seg_clean = false })
+            seg_clean = false; seg_good = 0 })
     (list_segments dir)
 
 type scan = {
@@ -185,30 +158,14 @@ let fail t msg =
   t.last_error <- Some msg;
   Error msg
 
-(* Directory entries (new/removed segments) need a directory fsync to be
-   durable.  Same benign-tolerance policy as Snapshot.fsync_dir. *)
-let fsync_dir_result dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match Unix.fsync fd with
-          | () -> Ok ()
-          | exception Unix.Unix_error ((EINVAL | ENOSYS | EOPNOTSUPP | EBADF), _, _) ->
-              Ok ()
-          | exception Unix.Unix_error (err, fn, _) ->
-              Error (Printf.sprintf "fsync %s: %s" fn (Unix.error_message err)))
-  | exception Unix.Unix_error ((EINVAL | ENOSYS | EOPNOTSUPP | EACCES), _, _) -> Ok ()
-  | exception Unix.Unix_error (err, fn, _) ->
-      Error (Printf.sprintf "%s %s: %s" fn dir (Unix.error_message err))
-
 let open_segment t ~base =
   (match consult t ~op:"segment-create" with
   | Some Chaos.Crash | Some Chaos.Torn -> crash "segment-create"
   | _ -> ());
   let path = Filename.concat t.cfg.dir (segment_name base) in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  (match fsync_dir_result t.cfg.dir with
+  (* A new directory entry needs a directory fsync to be durable. *)
+  (match Disk.fsync_dir t.cfg.dir with
   | Ok () -> ()
   | Error m -> t.log (Printf.sprintf "ckpt_wal: %s (segment entry not yet durable)" m));
   t.fd <- fd;
@@ -217,11 +174,40 @@ let open_segment t ~base =
   t.offset <- 0;
   t.synced_off <- 0
 
+(* Make the disk hold exactly what [load] replays before a new segment
+   opens: records appended after this recovery must not sit behind a bad
+   record, where the next recovery would stop short of them.  The
+   segments past the first bad record go first ([load] never replays
+   them), and the directory is synced so no power cut brings them back;
+   then the bad segment is cut back to its good prefix and synced.  A
+   crash part-way leaves a log whose next recovery keeps the same
+   records.  Returns the segments that remain. *)
+let repair ~log dir segs =
+  let rec walk kept = function
+    | [] -> segs
+    | seg :: rest when seg.seg_clean -> walk (seg :: kept) rest
+    | bad :: later ->
+        List.iter (fun seg -> Sys.remove seg.seg_path) later;
+        (if later <> [] then
+           match Disk.fsync_dir dir with Ok () -> () | Error m -> raise (Sys_error m));
+        let fd = Unix.openfile bad.seg_path [ Unix.O_WRONLY ] 0 in
+        Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            Unix.ftruncate fd bad.seg_good;
+            Unix.fsync fd);
+        log
+          (Printf.sprintf
+             "ckpt_wal: %s cut at its first bad record (%d of %d bytes kept), %d later segments removed"
+             bad.seg_path bad.seg_good bad.seg_bytes (List.length later));
+        List.rev (bad :: kept)
+  in
+  walk [] segs
+
 let open_ ?inject ?(log = fun _ -> ()) cfg ~next_seq =
   try
     if not (Sys.file_exists cfg.dir) then Unix.mkdir cfg.dir 0o755;
     let sealed =
-      scan_dir ~log cfg.dir
+      repair ~log cfg.dir (scan_dir ~log cfg.dir)
       |> List.map (fun seg -> (seg.seg_path, seg.seg_last))
     in
     let t =
@@ -244,14 +230,6 @@ let open_ ?inject ?(log = fun _ -> ()) cfg ~next_seq =
   | Unix.Unix_error (err, fn, arg) ->
       Error (Printf.sprintf "wal open failed: %s %s: %s" fn arg (Unix.error_message err))
   | Sys_error m -> Error ("wal open failed: " ^ m)
-
-let write_all ?(chunk = max_int) fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd b !off (min chunk (len - !off))
-  done
 
 (* Erase the unsynced suffix so records whose ops were refused (or were
    acked only under a relaxed batch) cannot resurface on replay. *)
@@ -323,13 +301,13 @@ let append t payload =
     match
       (match fault with
       | Some Chaos.Torn ->
-          write_all t.fd (String.sub record 0 (String.length record / 2));
+          Disk.write_all t.fd record ~len:(String.length record / 2);
           crash "append-torn"
-      | Some Chaos.Short_write -> write_all ~chunk:7 t.fd record
+      | Some Chaos.Short_write -> Disk.write_all ~chunk:7 t.fd record
       | Some Chaos.Fsync_fail ->
           t.pending_fsync_fault <- true;
-          write_all t.fd record
-      | _ -> write_all t.fd record)
+          Disk.write_all t.fd record
+      | _ -> Disk.write_all t.fd record)
     with
     | () ->
         t.offset <- t.offset + String.length record;
@@ -375,7 +353,7 @@ let retire t ~upto =
         end
         else true)
       t.sealed;
-  if !deleted > 0 then ignore (fsync_dir_result t.cfg.dir);
+  if !deleted > 0 then ignore (Disk.fsync_dir t.cfg.dir);
   !deleted
 
 let close t =

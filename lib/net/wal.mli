@@ -25,11 +25,18 @@
     {!load} replays segments in name order and record order, stopping at
     the {e first} record that fails to parse or checksum — everything
     from that point on (including later segments) is reported in
-    [dropped_records]/[skipped_segments] rather than replayed.  A torn
-    tail can only contain records that were never acked under
-    [fsync_batch = 1]; with a larger batch, up to [fsync_batch - 1]
-    acked records may be lost to a crash — that relaxation is the
-    documented group-commit trade-off.
+    [dropped_records]/[skipped_segments] rather than replayed.  The torn
+    record itself was never acked under [fsync_batch = 1]; with a larger
+    batch, up to [fsync_batch - 1] acked records may be lost to a crash
+    — that relaxation is the documented group-commit trade-off.
+
+    Segments that a later life writes after the torn record do hold
+    acked records, and a recovery that stops at the tear would drop
+    them.  So {!open_} first makes the disk hold exactly what {!load}
+    replays: it removes every segment past the first bad record and
+    cuts that segment back to its good prefix, syncing both, before it
+    starts the new segment.  Records past a bad record are never
+    replayed, before the repair or after it.
 
     {2 Failure semantics}
 
@@ -90,10 +97,11 @@ type t
 val open_ :
   ?inject:fault_hook -> ?log:(string -> unit) -> config -> next_seq:int -> (t, string) result
 (** Open for appending: creates [config.dir] if needed, scans existing
-    segments (for compaction bookkeeping) and starts a fresh segment for
-    [next_seq].  [next_seq] must be greater than every replayable seq
-    already on disk — callers derive it from {!load} and the snapshot
-    watermark. *)
+    segments (for compaction bookkeeping), cuts the log at its first bad
+    record (see above) and starts a fresh segment for [next_seq].
+    [next_seq] must be greater than every replayable seq already on
+    disk — callers derive it from {!load} and the snapshot watermark.
+    [Error _] when the directory cannot be created or the cut fails. *)
 
 val append : t -> string -> (int, string) result
 (** [append t payload] assigns the next sequence number, writes the

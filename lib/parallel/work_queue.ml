@@ -38,5 +38,3 @@ let close t =
   with_lock t (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)
-
-let length t = with_lock t (fun () -> Queue.length t.q)

@@ -23,5 +23,3 @@ val pop : 'a t -> 'a option
 
 val close : 'a t -> unit
 (** Idempotent; wakes every blocked consumer. *)
-
-val length : 'a t -> int

@@ -72,8 +72,3 @@ let to_list t =
   walk [] t.head
 
 let evictions t = t.evicted
-
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None

@@ -1,14 +1,18 @@
-(** A fixed-capacity least-recently-used cache, string keys to ['a].
+(** A fixed-capacity least-recently-used cache, string keys to ['a]:
+    the service's plan cache.
 
-    Backing store for the plan cache: capacity-bounded so a long-running
-    service cannot grow without limit, LRU so sweep refinements that
-    revisit recent grid points stay resident.  Purely a data structure —
-    hit/miss accounting lives in {!Metrics}, which owns the single
-    source of truth the [stats] response reports.
+    Capacity-bounded so a long-running service cannot grow without
+    limit, LRU so sweep refinements that revisit recent grid points stay
+    resident.  Recency is exact and global: a miss evicts the one least
+    recently used binding.  Purely a data structure — hit/miss
+    accounting lives in {!Metrics}, which owns the single source of
+    truth the [stats] response reports.
 
-    Not domain-safe: the service only touches the cache from the
-    coordinating domain (workers receive already-missed queries and
-    never see the cache). *)
+    Not domain-safe, and it takes no lock: the planner touches the cache
+    only from its coordinating thread (which the socket server
+    serializes under its coordinator lock), and the snapshot layer saves
+    it under that lock and restores it before the server accepts.
+    Workers receive already-missed queries and never see it. *)
 
 type 'a t
 
@@ -32,10 +36,9 @@ val add : 'a t -> string -> 'a -> unit
 
 val to_list : 'a t -> (string * 'a) list
 (** All bindings, most recently used first; does not touch recency.
-    Re-adding them in reverse order reproduces the same recency order —
-    what the snapshot layer relies on for warm restarts. *)
+    Re-adding them in reverse order into a fresh cache reproduces the
+    same recency order — what the snapshot layer relies on, so a warm
+    restart evicts the same keys the original would have. *)
 
 val evictions : 'a t -> int
 (** Total bindings evicted by capacity pressure since [create]. *)
-
-val clear : 'a t -> unit

@@ -2,10 +2,11 @@
 
     One source of truth for everything the [stats] response and the
     shutdown report print: request/error/query counters, cache hit and
-    miss totals (counted here, not in {!Lru_cache} — deduplication
-    within a batch also counts as a hit), the solver work behind the
-    served plans (iterations and Eq. 24 evaluations), and
-    latency sample series (solves, replans, whole batches) summarized
+    miss totals (counted here, not in the plan cache, {!Lru_cache} —
+    deduplication within a batch also counts as a hit; the cache keeps
+    only its eviction count, which {!to_json} is handed), the solver
+    work behind the served plans (iterations and Eq. 24 evaluations),
+    and latency sample series (solves, replans, whole batches) summarized
     with {!Ckpt_numerics.Stats} plus p50/p90/p95/p99 quantiles.
 
     Every operation takes the internal mutex, so workers and the

@@ -25,7 +25,7 @@ let check_resilience r =
   if r.breaker_cooldown < 1 then invalid_arg "Planner: breaker_cooldown < 1"
 
 type t = {
-  cache : Optimizer.plan Sharded_cache.t;
+  cache : Optimizer.plan Lru_cache.t;
   metrics : Metrics.t;
   precision : int;
   resilience : resilience;
@@ -47,7 +47,7 @@ type t = {
 let create ?(cache_capacity = 4096) ?(precision = Fingerprint.default_precision)
     ?(resilience = default_resilience) ?chaos metrics =
   check_resilience resilience;
-  { cache = Sharded_cache.create ~capacity:cache_capacity ();
+  { cache = Lru_cache.create ~capacity:cache_capacity;
     metrics;
     precision;
     resilience;
@@ -58,7 +58,6 @@ let create ?(cache_capacity = 4096) ?(precision = Fingerprint.default_precision)
     canon_memo = None }
 
 let cache t = t.cache
-let metrics t = t.metrics
 let breaker_open t = t.open_remaining > 0
 
 let canonical_hash t p =
@@ -444,7 +443,7 @@ let solve_batch ?pool t queries =
           Metrics.incr_cache_hit t.metrics;
           slot_of.(i) <- slot
       | None -> (
-          match Sharded_cache.find t.cache key with
+          match Lru_cache.find t.cache key with
           | Some plan ->
               Metrics.incr_cache_hit t.metrics;
               results.(i) <- Ok { Protocol.plan; cached = true; degraded = None }
@@ -470,7 +469,7 @@ let solve_batch ?pool t queries =
       let cache_key, miss = misses.(slot) in
       (match outcome with
       | Ok { Protocol.plan; degraded = None; _ } ->
-          Sharded_cache.add t.cache cache_key plan
+          Lru_cache.add t.cache cache_key plan
       | Ok _ | Error _ -> ());
       fold_outcome t ~skipped:miss.skip ~retries outcome)
     solved;

@@ -5,7 +5,7 @@
     possible happens in between —
 
     + each query is keyed by its {!Fingerprint} plus solver options;
-    + keys resident in the {!Sharded_cache} are served immediately (a
+    + keys resident in the {!Lru_cache} are served immediately (a
       hit);
     + duplicate keys within the batch collapse onto one solve (the
       duplicates also count as hits — the solver runs once);
@@ -74,13 +74,12 @@ val create :
   Metrics.t ->
   t
 (** [cache_capacity] defaults to 4096 entries and may be any positive
-    count (see {!Sharded_cache.create}), [precision] defaults to
+    count (see {!Lru_cache.create}), [precision] defaults to
     {!Fingerprint.default_precision} significant digits in cache keys.
     [chaos] injects solver faults into uncached solves (testing only).
     @raise Invalid_argument on nonsensical [resilience] values. *)
 
-val cache : t -> Ckpt_model.Optimizer.plan Sharded_cache.t
-val metrics : t -> Metrics.t
+val cache : t -> Ckpt_model.Optimizer.plan Lru_cache.t
 
 val breaker_open : t -> bool
 (** Whether the circuit breaker is currently serving fallbacks only. *)

@@ -86,8 +86,8 @@ let parse_query json =
     match Json.member "problem" json with
     | None -> err "invalid-request" "missing field \"problem\""
     | Some pj -> (
-        (* The codec can raise on degenerate shapes (e.g. an empty
-           hierarchy trips an assertion in Failure_spec.v); the service
+        (* The codec can raise on degenerate shapes (e.g. a negative
+           failure rate makes Failure_spec.v refuse); the service
            boundary turns every such case into a structured error. *)
         match Codec.problem_of_json pj with
         | Ok p -> Ok p

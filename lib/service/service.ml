@@ -56,7 +56,6 @@ let create ?(workers = 1) ?cache_capacity ?precision ?resilience ?chaos () =
     stats_extra = None;
     out = Buffer.create 4096 }
 
-let workers t = match t.pool with None -> 0 | Some p -> Pool.workers p
 let session_estimators t = Option.map (fun s -> (s.rates, s.costs)) t.session
 
 let restore_session t ~rates ~costs =
@@ -65,14 +64,13 @@ let restore_session t ~rates ~costs =
   t.session <- Some { rates; costs }
 let metrics t = t.metrics
 let planner t = t.planner
-let chaos t = t.chaos
 let set_persist_hook t hook = t.persist <- hook
 let set_stats_extra t extra = t.stats_extra <- extra
 
 let stats_json t =
   let base =
     Metrics.to_json
-      ~cache_evictions:(Sharded_cache.evictions (Planner.cache t.planner))
+      ~cache_evictions:(Lru_cache.evictions (Planner.cache t.planner))
       t.metrics
   in
   match t.stats_extra with

@@ -58,13 +58,8 @@ val create :
     pool, the solver, the line decoder and the telemetry intake
     (testing only — omit it in production). *)
 
-val workers : t -> int
 val metrics : t -> Metrics.t
 val planner : t -> Planner.t
-
-val chaos : t -> Ckpt_chaos.Chaos.t option
-(** The installed fault policy, if any (its {!Ckpt_chaos.Chaos.records}
-    log tells you what actually fired). *)
 
 val session_estimators : t -> (Ckpt_adaptive.Rate_estimator.t * Ckpt_adaptive.Cost_estimator.t) option
 (** The telemetry session's current estimators, once an [observe] has

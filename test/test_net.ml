@@ -11,7 +11,6 @@ open Ckpt_net
 module Service = Ckpt_service.Service
 module Protocol = Ckpt_service.Protocol
 module Planner = Ckpt_service.Planner
-module Sharded_cache = Ckpt_service.Sharded_cache
 module Chaos = Ckpt_chaos.Chaos
 module Json = Ckpt_json.Json
 module Failure_spec = Ckpt_failures.Failure_spec
@@ -296,6 +295,43 @@ let test_snapshot_install_resumes () =
   Alcotest.(check bool) "previously-solved plan is a cache hit" true
     (String.length cached_again > 0
     && Json.member "cached" (Json.parse cached_again) = Some (Json.Bool true))
+
+(* The cache list is most recently used first.  A snapshot whose list
+   is in another order — e.g. grouped by key prefix, as a cache split by
+   leading hex digit once dumped it — still installs every entry, and
+   each is served as a hit. *)
+let test_snapshot_install_any_cache_order () =
+  with_service @@ fun original ->
+  List.iter
+    (fun i -> ignore (Service.handle_line original (plan_line i)))
+    [ 0; 1; 2; 3; 4; 5; 1; 3 ];
+  let state = Snapshot.of_service ~seq:8 original in
+  let key i =
+    Planner.query_key (Service.planner original)
+      { Protocol.problem = problem_pool.(i); solution = Protocol.Ml_opt; fixed_n = None;
+        delta = Protocol.default_delta }
+  in
+  Alcotest.(check (list string)) "dump is most recently used first"
+    (List.map key [ 3; 1; 5; 4; 2; 0 ])
+    (List.map fst state.Snapshot.cache);
+  let shard (key, _) = Char.code key.[0] land 7 in
+  let grouped =
+    List.stable_sort (fun a b -> compare (shard a) (shard b)) state.Snapshot.cache
+  in
+  let image = Snapshot.encode { state with Snapshot.cache = grouped } in
+  match Snapshot.decode image with
+  | Error m -> Alcotest.failf "decode failed: %s" m
+  | Ok state' ->
+      with_service @@ fun restored ->
+      Alcotest.(check int) "every entry installed" 6 (Snapshot.install state' restored);
+      List.iter
+        (fun i ->
+          Alcotest.(check bool)
+            (Printf.sprintf "plan %d is a cache hit" i)
+            true
+            (Json.member "cached" (Service.handle_line restored (plan_line i))
+            = Some (Json.Bool true)))
+        [ 0; 1; 2; 3; 4; 5 ]
 
 (* ---------------- snapshot decoder robustness ---------------- *)
 
@@ -969,6 +1005,8 @@ let () =
       ( "snapshot",
         [ Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip;
           Alcotest.test_case "install-resumes" `Quick test_snapshot_install_resumes;
+          Alcotest.test_case "install-any-cache-order" `Quick
+            test_snapshot_install_any_cache_order;
           Alcotest.test_case "truncation" `Quick test_snapshot_truncation;
           qc test_snapshot_corruption;
           Alcotest.test_case "future-version" `Quick test_snapshot_future_version;

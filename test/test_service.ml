@@ -252,40 +252,45 @@ let qcheck_lru_capacity_bound =
       List.iter (fun k -> Lru_cache.add c (string_of_int k) k) keys;
       Lru_cache.length c = min cap (List.length (List.sort_uniq compare keys)))
 
-(* ---------------- sharded cache ---------------- *)
+let test_lru_validation () =
+  Alcotest.check_raises "capacity 0 refused"
+    (Invalid_argument "Lru_cache.create: capacity < 1") (fun () ->
+      ignore (Lru_cache.create ~capacity:0 : int Lru_cache.t))
 
-let test_sharded_basics () =
-  let c = Sharded_cache.create ~shards:4 ~capacity:10 () in
-  Alcotest.(check int) "shards" 4 (Sharded_cache.shards c);
-  Alcotest.(check int) "capacity adds up" 10 (Sharded_cache.capacity c);
-  (* Fingerprint-shaped keys land on shards by leading nibble. *)
-  List.iter
-    (fun (k, v) -> Sharded_cache.add c k v)
-    [ ("0abc", 1); ("1abc", 2); ("aabc", 3); ("0abc", 10) ];
-  Alcotest.(check int) "replace does not duplicate" 3 (Sharded_cache.length c);
-  Alcotest.(check (option int)) "replaced" (Some 10) (Sharded_cache.find c "0abc");
-  Alcotest.(check bool) "mem" true (Sharded_cache.mem c "aabc");
-  Sharded_cache.clear c;
-  Alcotest.(check int) "cleared" 0 (Sharded_cache.length c)
-
-let test_sharded_validation () =
-  let rejected f = try f () |> ignore; false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "non-power-of-two" true
-    (rejected (fun () -> (Sharded_cache.create ~shards:3 ~capacity:9 () : int Sharded_cache.t)));
-  Alcotest.(check bool) "capacity below shards" true
-    (rejected (fun () -> (Sharded_cache.create ~shards:8 ~capacity:4 () : int Sharded_cache.t)))
-
-let qcheck_sharded_capacity_bound =
+(* Exact LRU against a list model (most recently used first): every
+   [find] answers alike, and the bindings, their recency order and the
+   eviction count end up the same. *)
+let qcheck_lru_matches_model =
   let open QCheck in
-  Test.make ~name:"sharded cache never exceeds its global budget" ~count:100
-    (make Gen.(pair (int_range 0 2) (list_size (int_range 0 80) (int_range 0 255))))
-    (fun (log_shards, keys) ->
-      let shards = 1 lsl log_shards in
-      let c = Sharded_cache.create ~shards ~capacity:(max shards 6) () in
-      List.iter (fun k -> Sharded_cache.add c (Printf.sprintf "%02x" k) k) keys;
-      Sharded_cache.length c <= Sharded_cache.capacity c
-      && Sharded_cache.length c
-         <= List.length (List.sort_uniq compare keys))
+  let op = Gen.(pair bool (pair (int_range 0 11) small_nat)) in
+  Test.make ~name:"LRU matches a list model" ~count:300
+    (make
+       ~print:Print.(pair int (list (pair bool (pair int int))))
+       Gen.(pair (int_range 1 6) (list_size (int_range 0 80) op)))
+    (fun (cap, ops) ->
+      let c = Lru_cache.create ~capacity:cap in
+      let model = ref [] and evicted = ref 0 in
+      let touch k v = (k, v) :: List.remove_assoc k !model in
+      List.for_all
+        (fun (is_add, (k, v)) ->
+          let k = string_of_int k in
+          if is_add then begin
+            Lru_cache.add c k v;
+            model := touch k v;
+            if List.length !model > cap then begin
+              model := List.filteri (fun i _ -> i < cap) !model;
+              incr evicted
+            end;
+            true
+          end
+          else
+            let want = List.assoc_opt k !model in
+            Option.iter (fun v -> model := touch k v) want;
+            Lru_cache.find c k = want)
+        ops
+      && Lru_cache.to_list c = !model
+      && Lru_cache.evictions c = !evicted
+      && Lru_cache.length c = List.length !model)
 
 (* ---------------- work queue + pool ---------------- *)
 
@@ -663,8 +668,7 @@ let qcheck_service_parallel_equals_sequential =
    cache's evictions.  Twenty distinct cold free-scale plans, one line
    each: the solver block's counters equal the sums over the plans
    answered (whose [fallbacks] field reads 0), and at a cache capacity
-   of 8 (eight one-entry shards, all of which these fingerprints reach)
-   twelve entries were evicted. *)
+   of 8 the cache is full and twelve entries were evicted. *)
 let test_service_stats_solver_work_and_evictions () =
   let service = Service.create ~workers:0 ~cache_capacity:8 () in
   Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
@@ -710,14 +714,13 @@ let test_service_stats_solver_work_and_evictions () =
     (Option.bind (Json.member "stats" stats) (Json.member "solver")
      |> Option.map (Json.member "fallbacks")
      = Some None);
-  Alcotest.(check int) "every shard holds a plan" 8
-    (Sharded_cache.length (Planner.cache (Service.planner service)));
+  Alcotest.(check int) "the cache is full" 8
+    (Lru_cache.length (Planner.cache (Service.planner service)));
   Alcotest.(check int) "cache evictions" 12 (count [ "cache"; "evictions" ])
 
-(* Any positive cache capacity serves: below 8 entries the default
-   shard count shrinks to fit it (one shard per entry at most), so a
-   small capacity is a small cache rather than a refused one.  At
-   capacity 1 the second distinct plan evicts the first. *)
+(* Any positive cache capacity serves: a small capacity is a small
+   cache rather than a refused one.  At capacity 1 the second distinct
+   plan evicts the first. *)
 let test_service_small_cache_capacities () =
   List.iter
     (fun capacity ->
@@ -744,6 +747,47 @@ let test_service_small_cache_capacities () =
           |> Fun.flip Option.bind (Json.float_field "evictions"))
       end)
     [ 1; 4; 7 ]
+
+(* The plan cache evicts the least recently used plan across all keys.
+   At capacity 2, plans A and B are solved, A is asked again (a hit),
+   then C is solved: B goes and A stays.  C's key is picked to share
+   A's leading hex digit's parity, so a cache split two ways by that
+   digit would have evicted A from under its hit instead. *)
+let test_service_cache_exact_lru () =
+  let service = Service.create ~workers:0 ~cache_capacity:2 () in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let planner = Service.planner service in
+  let key p = Planner.query_key planner (query p) in
+  let parity p = Char.code (key p).[0] land 1 in
+  let candidates = List.init 40 (fun i -> mk_problem ~te_days:(1e4 +. (37. *. float_of_int i)) ()) in
+  let a = List.hd candidates in
+  let b, c =
+    match List.filter (fun p -> p != a) candidates with
+    | b :: rest -> (b, List.find (fun p -> parity p = parity a) rest)
+    | [] -> assert false
+  in
+  let ask i p =
+    let r =
+      Json.parse
+        (Service.handle_line_string service
+           (Printf.sprintf {|{"id": %d, "op": "plan", "problem": %s}|} i (problem_json p)))
+    in
+    match Json.member "cached" r with
+    | Some (Json.Bool cached) -> cached
+    | _ -> Alcotest.failf "plan %d: %s" i (Json.to_string r)
+  in
+  let a0 = ask 0 a in
+  let b1 = ask 1 b in
+  let a2 = ask 2 a in
+  let c3 = ask 3 c in
+  Alcotest.(check (list bool)) "A, B cold; A hit; C cold" [ false; false; true; false ]
+    [ a0; b1; a2; c3 ];
+  let cache = Planner.cache planner in
+  Alcotest.(check (list string)) "C then A resident, most recent first" [ key c; key a ]
+    (List.map fst (Lru_cache.to_list cache));
+  Alcotest.(check int) "one eviction" 1 (Lru_cache.evictions cache);
+  Alcotest.(check bool) "A is still a hit" true (ask 4 a);
+  Alcotest.(check bool) "B was evicted" false (ask 5 b)
 
 let test_service_error_isolation () =
   let service = Service.create ~workers:2 () in
@@ -1166,15 +1210,146 @@ let test_fuzz_depth_limit_is_structured () =
   | Some e -> Alcotest.(check string) "parse error code" "parse" e.Protocol.code
   | None -> Alcotest.fail "expected a structured error payload"
 
+(* ---------------- out-of-range problems ---------------- *)
+
+let set_field key v = function
+  | Json.Obj fields -> Json.Obj (List.map (fun (k, x) -> (k, if k = key then v else x)) fields)
+  | j -> j
+
+(* One problem through every op that decodes one, with the prefix each
+   puts before the problem's message.  Plan, batch-plan and sweep lines
+   take the wire scanner first, replan the tree alone. *)
+let problem_lines problem =
+  let pj = Json.to_string problem in
+  [ ("plan", Printf.sprintf {|{"id": 1, "op": "plan", "problem": %s}|} pj, "");
+    ("batch-plan", Printf.sprintf {|{"id": 2, "op": "batch-plan", "problems": [%s]}|} pj,
+     "problems[0]: ");
+    ( "sweep",
+      Printf.sprintf {|{"id": 3, "op": "sweep", "param": "te", "values": [8.64e8], "problem": %s}|} pj,
+      "" );
+    ("replan", Printf.sprintf {|{"id": 4, "op": "replan", "problem": %s}|} pj, "") ]
+
+(* A service with a telemetry session, so a valid replan solves. *)
+let session_service () =
+  let service = Service.create ~workers:0 () in
+  ignore
+    (Service.handle_line_string service
+       {|{"op":"observe","events":[{"t":0,"ev":"start","scale":100000,"levels":4},{"t":10,"ev":"failure","level":1},{"t":3600,"ev":"end","completed":true}]}|});
+  service
+
+let error_of service line =
+  match Protocol.response_error (Json.parse (Service.handle_line_string service line)) with
+  | Some e -> (e.Protocol.code, e.Protocol.message)
+  | None -> ("ok", "")
+
+(* Each speedup kind's out-of-range parameters, and an empty hierarchy,
+   are refused with a message that names the field and its range. *)
+let test_out_of_range_problems () =
+  let service = session_service () in
+  Fun.protect ~finally:(fun () -> Service.shutdown service) @@ fun () ->
+  let base = Codec.problem_to_json base_problem in
+  let speedup kind fields =
+    set_field "speedup"
+      (Json.Obj (("kind", Json.String kind) :: List.map (fun (k, v) -> (k, Json.Number v)) fields))
+      base
+  in
+  let positive key v = Printf.sprintf {|speedup field "%s" must be > 0, got %s|} key v in
+  let fraction v = Printf.sprintf {|speedup field "serial_fraction" must be in [0, 1), got %s|} v in
+  List.iter
+    (fun (problem, message) ->
+      List.iter
+        (fun (op, line, prefix) ->
+          Alcotest.(check (pair string string))
+            (Printf.sprintf "%s: %s" op message)
+            ("invalid-problem", prefix ^ message)
+            (error_of service line))
+        (problem_lines problem))
+    [ (speedup "quadratic" [ ("kappa", -1.); ("n_star", 1e5) ], positive "kappa" "-1");
+      (speedup "quadratic" [ ("kappa", 0.46); ("n_star", 0.) ], positive "n_star" "0");
+      (speedup "linear" [ ("kappa", 0.) ], positive "kappa" "0");
+      (speedup "amdahl" [ ("serial_fraction", 1.5); ("peak", 1e5) ], fraction "1.5");
+      (speedup "amdahl" [ ("serial_fraction", -0.25); ("peak", 1e5) ], fraction "-0.25");
+      (speedup "amdahl" [ ("serial_fraction", 0.1); ("peak", 0.) ], positive "peak" "0");
+      (speedup "gustafson" [ ("serial_fraction", 1.); ("peak", 1e5) ], fraction "1");
+      (speedup "gustafson" [ ("serial_fraction", 0.1); ("peak", -1.) ], positive "peak" "-1");
+      ( set_field "rates_per_day" (Json.List []) (set_field "levels" (Json.List []) base),
+        {|field "levels" must list at least one level|} ) ]
+
+(* Problems with one to three numbers replaced by edge values (negative,
+   zero, subnormal, huge, fractions either side of 1), or an emptied
+   list: whatever the service answers, no message carries a source
+   position or an assertion — internal guards never reach a client. *)
+let qcheck_fuzz_problem_messages =
+  let open QCheck in
+  let edges = [| -1.; -0.; 0.; 5e-324; 1e-300; 0.25; 0.5; 1.; 1.5; 2.; 1e15; 1e300; -1e300 |] in
+  let kinds =
+    [| Codec.speedup_to_json base_problem.Optimizer.speedup;
+       Codec.speedup_to_json (Speedup.linear ~kappa:0.8);
+       Codec.speedup_to_json (Speedup.amdahl ~serial_fraction:0.01 ~peak:1e5);
+       Codec.speedup_to_json (Speedup.gustafson ~serial_fraction:0.05 ~peak:1e5) |]
+  in
+  let numbers json =
+    let rec count = function
+      | Json.Number _ -> 1
+      | Json.Obj fs -> List.fold_left (fun n (_, v) -> n + count v) 0 fs
+      | Json.List xs -> List.fold_left (fun n v -> n + count v) 0 xs
+      | _ -> 0
+    in
+    count json
+  in
+  let replace_nth k v json =
+    let i = ref (-1) in
+    let rec go = function
+      | Json.Number x ->
+          incr i;
+          Json.Number (if !i = k then v else x)
+      | Json.Obj fs -> Json.Obj (List.map (fun (key, x) -> (key, go x)) fs)
+      | Json.List xs -> Json.List (List.map go xs)
+      | j -> j
+    in
+    go json
+  in
+  let mutate json (at, edge, empty) =
+    match empty mod 8 with
+    | 0 -> set_field "levels" (Json.List []) json
+    | 1 -> set_field "rates_per_day" (Json.List []) json
+    | _ -> replace_nth (at mod numbers json) edges.(edge mod Array.length edges) json
+  in
+  let service = lazy (session_service ()) in
+  Test.make ~name:"mutated problems never answer with assertion text" ~count:150
+    (make
+       ~print:Print.(pair int (list (triple int int int)))
+       Gen.(pair (int_range 0 3) (list_size (int_range 1 3) (triple nat nat nat))))
+    (fun (kind, mutations) ->
+      let problem =
+        List.fold_left mutate
+          (set_field "speedup" kinds.(kind) (Codec.problem_to_json base_problem))
+          mutations
+      in
+      let leaks message =
+        let has sub =
+          let n = String.length sub and m = String.length message in
+          let rec at i = i + n <= m && (String.sub message i n = sub || at (i + 1)) in
+          at 0
+        in
+        has ".ml\"" || has "Assertion failed"
+      in
+      List.for_all
+        (fun (op, line, _) ->
+          let code, message = error_of (Lazy.force service) line in
+          (not (leaks message))
+          || Test.fail_reportf "%s answered %s: %s" op code message)
+        (problem_lines problem))
+
 let qcheck_tests =
   [ qcheck_fingerprint_noise; qcheck_fingerprint_problem_noise; qcheck_lru_capacity_bound;
-    qcheck_sharded_capacity_bound;
+    qcheck_lru_matches_model;
     qcheck_parallel_bit_identical; qcheck_service_parallel_equals_sequential;
     qcheck_fuzz_arbitrary_lines; qcheck_fuzz_truncated_requests;
     qcheck_fuzz_wire_truncated; qcheck_fuzz_wire_garbage; qcheck_wire_scale_range;
     qcheck_envelope_id_op;
     qcheck_fuzz_line_strings;
-    qcheck_fuzz_nested_json ]
+    qcheck_fuzz_nested_json; qcheck_fuzz_problem_messages ]
 
 let () =
   Alcotest.run "service"
@@ -1186,10 +1361,11 @@ let () =
       ("lru",
        [ Alcotest.test_case "eviction at capacity" `Quick test_lru_eviction;
          Alcotest.test_case "recency refresh" `Quick test_lru_recency_refresh;
-         Alcotest.test_case "replace" `Quick test_lru_replace ]);
-      ("sharded-cache",
-       [ Alcotest.test_case "basics" `Quick test_sharded_basics;
-         Alcotest.test_case "validation" `Quick test_sharded_validation ]);
+         Alcotest.test_case "replace" `Quick test_lru_replace;
+         Alcotest.test_case "validation" `Quick test_lru_validation ]);
+      ("cache-recency",
+       [ Alcotest.test_case "service evicts the least recently used plan" `Quick
+           test_service_cache_exact_lru ]);
       ("pool",
        [ Alcotest.test_case "work queue fifo" `Quick test_work_queue_fifo;
          Alcotest.test_case "map preserves order" `Quick test_pool_map_order;
@@ -1225,5 +1401,7 @@ let () =
          Alcotest.test_case "cache capacities 1, 4 and 7 serve" `Quick
            test_service_small_cache_capacities;
          Alcotest.test_case "a raising handler answers its line internal" `Quick
-           test_service_handler_raises ]);
+           test_service_handler_raises;
+         Alcotest.test_case "out-of-range problems name the field" `Quick
+           test_out_of_range_problems ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]

@@ -481,6 +481,71 @@ let test_crash_point_qcheck =
       List.length lost <= batch - 1
       && oracle_responses durable = restarted_responses ~wal_dir ())
 
+(* Ops a second life acks on top of whatever the first left on disk. *)
+let second_stream n =
+  List.filteri (fun i _ -> i < n)
+    [ observe_line 20; replan_line 2; observe_line 21; Lazy.force calibrate_line ]
+
+(* A torn tail, then a second life that acks more ops: the third life
+   must recover every op either acked.  Life 1 dies tearing the append
+   of stream op [torn] (step 1 + 2 * torn under batch 1: step 0 is the
+   startup segment-create, then an append and an fsync per op), life 2
+   recovers, acks [k] ops and dies, and life 3 must answer like an
+   oracle that processed exactly the acked ops.  A recovery that left
+   the torn record on disk would stop there in life 3, short of life
+   2's segment. *)
+let test_torn_tail_then_second_life () =
+  let stream = stateful_stream () in
+  List.iter
+    (fun (torn, k) ->
+      with_tmp_dir @@ fun root ->
+      let wal_dir = Filename.concat root "wal" in
+      let life1 =
+        run_life
+          ~fault:(fun (step, _) -> if step = 1 + (2 * torn) then Some Chaos.Torn else None)
+          ~wal_dir ~stream ()
+      in
+      Alcotest.(check bool) "life 1 dies mid-append" true life1.crashed;
+      Alcotest.(check (list string)) "life 1 acks the ops before the tear"
+        (List.filteri (fun i _ -> i < torn) stream) life1.acked;
+      let life2 = run_life ~wal_dir ~stream:(second_stream k) () in
+      Alcotest.(check int) "life 2 acks every op" k (List.length life2.acked);
+      let scan = Wal.load ~dir:wal_dir () in
+      Alcotest.(check int) "no bad record left on disk" 0
+        (scan.Wal.dropped_records + scan.Wal.skipped_segments);
+      Alcotest.(check (list string))
+        (Printf.sprintf "tear at op %d, %d more acked: life 3 equals the acked oracle" torn k)
+        (oracle_responses (life1.acked @ life2.acked))
+        (restarted_responses ~wal_dir ()))
+    [ (0, 1); (1, 1); (2, 3); (5, 4) ]
+
+(* The crash-point qcheck with a second life: whatever fault ended the
+   first life, a fault-free second life that acks more ops leaves a log
+   whose restart equals the oracle over the first life's durable lines
+   and every op the second acked. *)
+let test_crash_point_second_life_qcheck =
+  QCheck.Test.make ~count:50
+    ~name:"a second life after any injected fault keeps every op it acked"
+    QCheck.(quad (int_range 0 16) (int_range 0 3) (int_range 1 3) (int_range 1 4))
+    (fun (k, kind_i, batch, n2) ->
+      let kind =
+        [| Chaos.Crash; Chaos.Torn; Chaos.Short_write; Chaos.Fsync_fail |].(kind_i)
+      in
+      with_tmp_dir @@ fun root ->
+      let wal_dir = Filename.concat root "wal" in
+      let life1 =
+        run_life
+          ~fault:(fun (step, _) -> if step = k then Some kind else None)
+          ~batch ~wal_dir ~stream:(stateful_stream ()) ()
+      in
+      let _, scan = disk_state ~wal_dir () in
+      let durable = List.map snd scan.Wal.records in
+      let lost = List.filter (fun line -> not (List.mem line durable)) life1.acked in
+      let life2 = run_life ~batch ~wal_dir ~stream:(second_stream n2) () in
+      List.length lost <= batch - 1
+      && List.length life2.acked = n2
+      && oracle_responses (durable @ life2.acked) = restarted_responses ~wal_dir ())
+
 (* ---------------- durability soak ---------------- *)
 
 (* 10% of durability steps fault (seeded, deterministic); lives are
@@ -883,6 +948,9 @@ let () =
       ( "crash-points",
         [ Alcotest.test_case "exhaustive-sweep" `Quick test_crash_point_sweep;
           qc test_crash_point_qcheck;
+          Alcotest.test_case "torn-tail-then-second-life" `Quick
+            test_torn_tail_then_second_life;
+          qc test_crash_point_second_life_qcheck;
           Alcotest.test_case "soak-10pct" `Quick test_durability_soak ] );
       ( "recovery",
         [ Alcotest.test_case "tmp-cleanup" `Quick test_tmp_cleanup_on_restart;
